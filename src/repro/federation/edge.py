@@ -40,7 +40,7 @@ from ..storage import CheckpointStore
 from ..telemetry import MetricsRegistry, emit, event_logger
 from ..transport.framing import DEFAULT_MAX_FRAME_BYTES
 from ..transport.gateway import CollectionGateway
-from ..transport.sender import _as_sender_id
+from ..transport.stream import _as_sender_id, positive_count, retry_summary
 from ..wire.contract import CollectionContract
 from .pusher import StatePusher
 from .state_push import state_dict_delta
@@ -98,20 +98,18 @@ class EdgeAggregator:
         push_retry_delay: float = 0.5,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if push_every_frames is not None and int(push_every_frames) < 1:
-            raise TransportError(
-                "push_every_frames must be >= 1, got %r"
-                % (push_every_frames,)
+        if push_every_frames is not None:
+            push_every_frames = positive_count(
+                "push_every_frames", push_every_frames, TransportError
             )
         if push_every_seconds is not None and float(push_every_seconds) <= 0:
             raise TransportError(
                 "push_every_seconds must be > 0, got %r"
                 % (push_every_seconds,)
             )
-        if int(push_attempts) < 1:
-            raise TransportError(
-                "push_attempts must be >= 1, got %r" % (push_attempts,)
-            )
+        push_attempts = positive_count(
+            "push_attempts", push_attempts, TransportError
+        )
         self.telemetry = metrics if metrics is not None else MetricsRegistry()
         self.server = ShardedServer(
             schema, epsilon, sampled_attributes, protocols, shards=shards
@@ -126,13 +124,11 @@ class EdgeAggregator:
             metrics=self.telemetry,
         )
         self.edge_id = _as_sender_id(edge_id)
-        self.push_every_frames = (
-            None if push_every_frames is None else int(push_every_frames)
-        )
+        self.push_every_frames = push_every_frames
         self.push_every_seconds = (
             None if push_every_seconds is None else float(push_every_seconds)
         )
-        self.push_attempts = int(push_attempts)
+        self.push_attempts = push_attempts
         self.push_retry_delay = float(push_retry_delay)
         self._upstream: Optional[Tuple[str, int]] = None
         self._upstream_ssl = None
@@ -444,13 +440,9 @@ class EdgeAggregator:
                 self._m_last_epoch.set(epoch)
                 self._m_unpushed.set(self._frames_since_push)
                 return epoch
-            detail = "; ".join(
-                "attempt %d: %s" % (attempt, exc)
-                for attempt, exc in failures
-            )
             raise TransportError(
                 "state not pushed after %d attempt(s): %s"
-                % (self.push_attempts, detail)
+                % (self.push_attempts, retry_summary(failures))
             ) from failures[-1][1]
 
     async def _ensure_pusher(self) -> StatePusher:
@@ -462,7 +454,7 @@ class EdgeAggregator:
                 host,
                 port,
                 self.contract,
-                edge_id=self.edge_id,
+                self.edge_id,
                 metrics=self.telemetry,
                 ssl=self._upstream_ssl,
             )

@@ -1,18 +1,18 @@
 """Asyncio TCP state pusher: the edge-side end of the federation hop.
 
-:class:`StatePusher` is to a :class:`~repro.federation.RootAggregator`
-what :class:`~repro.transport.AsyncReportSender` is to a collection
-gateway: it opens a connection, performs the contract handshake (hello
-opened by :data:`~repro.transport.framing.STATE_MAGIC`, fingerprints
-compared before any payload flows), and then ships epoch-numbered,
-CRC-sealed state snapshots — one framed push per epoch, each
-acknowledged only once the root has validated and folded it (and, with
-a root-side checkpoint store, persisted it durably).
+:class:`StatePusher` is the :class:`~repro.transport.stream.StreamClient`
+of the federation ``STATE`` stream: it opens a connection to a
+:class:`~repro.federation.RootAggregator`, performs the contract
+handshake (hello opened by :data:`~repro.transport.framing.STATE_MAGIC`,
+fingerprints compared before any payload flows), and then ships
+epoch-numbered, CRC-sealed state snapshots — one framed push per epoch,
+each acknowledged only once the root has validated and folded it (and,
+with a root-side checkpoint store, persisted it durably).
 
-Resume mirrors the report stream: the hello reply carries the *epoch
-watermark* — the highest epoch the root already folded for this edge id
-— and :meth:`StatePusher.push` numbers pushes ``watermark + 1,
-watermark + 2, …``. Because snapshots are cumulative, a reconnecting
+Resume: the hello reply carries the *epoch watermark* — the highest
+epoch the root already folded for this edge id — and
+:meth:`StatePusher.push` numbers pushes ``watermark + 1, watermark + 2,
+…``. Because snapshots are cumulative, a reconnecting
 edge does not need to replay anything: its next push covers everything
 the lost ones would have.
 """
@@ -22,27 +22,16 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Mapping, Optional
 
-from ..exceptions import ContractMismatchError, TransportError
 from ..telemetry import MetricsRegistry, emit, event_logger
 from ..wire.contract import CollectionContract
-from ..transport.framing import (
-    HELLO,
-    HELLO_REPLY,
-    SENDER_ID_SIZE,
-    STATE_MAGIC,
-    TRANSPORT_MAGIC,
-    TRANSPORT_VERSION,
-    raise_for_status,
-    read_status,
-    write_frame,
-)
-from ..transport.sender import ContractLike, _as_contract, _as_sender_id
+from ..transport.framing import SENDER_ID_SIZE
+from ..transport.stream import STATE_STREAM, StreamClient
 from .state_push import PUSH_KIND_SNAPSHOT, encode_state_push
 
 _LOG = event_logger("pusher")
 
 
-class StatePusher:
+class StatePusher(StreamClient):
     """One open, handshaken push connection to a root aggregator.
 
     Construct through :meth:`connect`; use as an async context manager
@@ -53,8 +42,15 @@ class StatePusher:
 
     The edge id (16 raw bytes, random unless given) names the edge's
     resumable push stream — pass the same id across reconnects and
-    restarts so the root keeps one record for this edge.
+    restarts so the root keeps one record for this edge. A root that
+    aggregates under a different contract raises
+    :class:`~repro.exceptions.ContractMismatchError` at connect; a peer
+    that is not a root aggregator (a collection gateway, say, which
+    refuses the ``STATE`` magic symmetrically) raises
+    :class:`~repro.exceptions.TransportError`.
     """
+
+    KIND = STATE_STREAM
 
     def __init__(
         self,
@@ -65,113 +61,27 @@ class StatePusher:
         resume_epoch: int,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.contract = contract
+        super().__init__(contract, reader, writer, metrics)
         self.edge_id = edge_id
         #: Highest epoch the root already folded for this edge when the
         #: connection opened; pushes continue at ``resume_epoch + 1``.
         self.resume_epoch = resume_epoch
-        self._reader = reader
-        self._writer = writer
-        self._closed = False
         self._next_epoch = resume_epoch + 1
         #: Highest epoch the root has acknowledged on *this* connection
         #: (starts at the resume watermark). Edges compare it against
         #: their delta base to know whether the root holds the state a
         #: delta would build on.
         self.acked_epoch = resume_epoch
-        self.pushes_sent = 0
-        self.bytes_sent = 0
-        self.telemetry = metrics
         if metrics is not None:
-            self._m_pushes_sent = metrics.counter(
-                "pusher_pushes_sent_total",
-                "State pushes acknowledged by the root",
-            )
-            self._m_bytes_sent = metrics.counter(
-                "pusher_bytes_sent_total",
-                "Payload bytes of acknowledged state pushes",
-            )
             self._m_push_seconds = metrics.histogram(
                 "pusher_push_seconds",
                 "Encode + ship + root-ack round trip per push",
             )
 
-    @classmethod
-    async def connect(
-        cls,
-        host: str,
-        port: int,
-        contract: ContractLike,
-        edge_id: Optional[bytes] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        ssl=None,
-    ) -> "StatePusher":
-        """Open a push connection and perform the contract handshake.
-
-        Raises :class:`~repro.exceptions.ContractMismatchError` when the
-        root aggregates under a different contract — before any payload
-        bytes flow — and :class:`~repro.exceptions.TransportError` when
-        the peer is not a root aggregator at all (a collection gateway,
-        say, which refuses the ``STATE`` magic symmetrically). ``ssl``
-        is an optional client-side :class:`ssl.SSLContext` for a
-        TLS-serving root.
-        """
-        agreed = _as_contract(contract)
-        stream_id = _as_sender_id(edge_id)
-        reader, writer = await asyncio.open_connection(host, port, ssl=ssl)
-        try:
-            writer.write(
-                HELLO.pack(
-                    STATE_MAGIC, TRANSPORT_VERSION, agreed.digest, stream_id
-                )
-            )
-            await writer.drain()
-            try:
-                magic, version, digest, resume_epoch = HELLO_REPLY.unpack(
-                    await reader.readexactly(HELLO_REPLY.size)
-                )
-            except (asyncio.IncompleteReadError, ConnectionError) as exc:
-                raise TransportError(
-                    "root closed the connection during the handshake: %s"
-                    % exc
-                ) from None
-            if magic != TRANSPORT_MAGIC:
-                raise TransportError(
-                    "peer is not a root aggregator: bad hello magic %r"
-                    % (magic,)
-                )
-            status, message = await read_status(reader)
-            raise_for_status(status, message)
-            if version != TRANSPORT_VERSION:
-                raise TransportError(
-                    "root speaks transport version %d, this edge %d"
-                    % (version, TRANSPORT_VERSION)
-                )
-            if digest != agreed.digest:
-                raise ContractMismatchError(
-                    "root presents contract %s but this edge aggregates "
-                    "under %s" % (bytes(digest).hex(), agreed.fingerprint)
-                )
-        # repro: allow[broad-except] -- cleanup-and-reraise: the failed
-        # handshake's socket must close on every path (including
-        # CancelledError) before the original error propagates.
-        except BaseException:
-            writer.close()
-            raise
-        if metrics is not None:
-            metrics.counter(
-                "pusher_connects_total",
-                "Successful handshaken connections to a root aggregator",
-            ).inc()
-        emit(
-            _LOG,
-            "pusher_connected",
-            edge_id=stream_id.hex(),
-            host=host,
-            port=port,
-            resume_epoch=resume_epoch,
-        )
-        return cls(agreed, reader, writer, stream_id, resume_epoch, metrics)
+    @property
+    def pushes_sent(self) -> int:
+        """Pushes acknowledged on this connection."""
+        return self._sent
 
     # --------------------------------------------------------------- pushing
 
@@ -193,34 +103,16 @@ class StatePusher:
         returned epoch is a *safe* epoch: the reports it covers survive
         anything short of losing the root's storage.
         """
-        if self._closed:
-            raise TransportError("pusher is closed")
+        self._require_open()
         started = (
             self.telemetry.clock() if self.telemetry is not None else 0.0
         )
         payload = encode_state_push(state, counters, kind, base_epoch)
         epoch = self._next_epoch
         self._next_epoch += 1
-        write_frame(self._writer, epoch, payload)
-        try:
-            await self._writer.drain()
-        except ConnectionError as exc:
-            raise TransportError("connection lost mid-push: %s" % exc) from None
-        status, message = await read_status(self._reader)
-        try:
-            raise_for_status(status, message)
-        # repro: allow[broad-except] -- cleanup-and-reraise: the root
-        # closes the stream after an error status, so this side must tear
-        # down too (even on CancelledError) before the error propagates.
-        except BaseException:
-            await self.close()  # the root closes after an error status
-            raise
+        await self._exchange(epoch, payload)
         self.acked_epoch = epoch
-        self.pushes_sent += 1
-        self.bytes_sent += len(payload)
         if self.telemetry is not None:
-            self._m_pushes_sent.inc()
-            self._m_bytes_sent.inc(len(payload))
             self._m_push_seconds.observe(self.telemetry.clock() - started)
         emit(
             _LOG,
@@ -231,30 +123,6 @@ class StatePusher:
             bytes=len(payload),
         )
         return epoch
-
-    # --------------------------------------------------------------- closing
-
-    async def close(self) -> None:
-        """End the push stream (EOF) and release the connection."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            if self._writer.can_write_eof():
-                self._writer.write_eof()
-        except (ConnectionError, OSError, RuntimeError):
-            pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-    async def __aenter__(self) -> "StatePusher":
-        return self
-
-    async def __aexit__(self, *exc_info: object) -> None:
-        await self.close()
 
 
 #: Edge ids share the sender-id width: 16 raw bytes.

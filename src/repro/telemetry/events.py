@@ -15,7 +15,8 @@ fields beyond the implicit ``ts``/``level``/``logger``/``event``):
 ========================  =====================================================
 event                     fields
 ========================  =====================================================
-``handshake_accepted``    ``sender_id``, ``resume_seq``
+``handshake_accepted``    ``sender_id``, ``resume_seq`` (a root:
+                          ``edge_id``, ``resume_epoch``)
 ``handshake_rejected``    ``reason``, ``detail``
 ``stats_served``          ``bytes``
 ``frame_accepted``        ``sender_id``, ``seq``, ``users``, ``shard``

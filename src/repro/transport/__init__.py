@@ -18,6 +18,9 @@ the same strictness guarantees:
   the backpressure), zero-user heartbeat frames for idle connections,
   and crash-safe round replay that skips frames the gateway already
   holds durably;
+* :mod:`repro.transport.stream` — the one stream server/client core
+  the gateway, the sender and the federation tier build on, plus
+  :func:`request_stats` (live ``STATS`` of a gateway or root);
 * :mod:`repro.transport.framing` — the shared message definitions
   (handshake structs, sequenced length-prefixed frames, typed status
   codes).
@@ -41,7 +44,8 @@ from .framing import (
     TRANSPORT_VERSION,
 )
 from .gateway import CollectionGateway, serve_collection
-from .sender import AsyncReportSender, replay_frames, request_stats
+from .sender import AsyncReportSender, replay_frames
+from .stream import request_stats
 
 __all__ = [
     "AsyncReportSender",

@@ -907,9 +907,40 @@ class TestEdgeAggregatorBehaviour:
             dict(push_every_frames=0),
             dict(push_every_seconds=0.0),
             dict(push_attempts=0),
+            # no silent int(): 2.5 frames is not 2 frames
+            dict(push_every_frames=2.5),
+            dict(push_attempts=1.7),
         ):
             with pytest.raises(TransportError):
                 EdgeAggregator(SCHEMA, EPSILON, protocols=SPEC, **kwargs)
+
+    def test_exhausted_push_attempts_summarise_distinct_errors(self):
+        """push_now reports a repeated failure once, with every attempt
+        number against it — the same summary replay_frames gives."""
+        import socket
+
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        dead_port = probe.getsockname()[1]
+        probe.close()
+
+        async def scenario():
+            edge = await _edge(
+                dead_port,
+                edge_id=_edge_id(7),
+                push_attempts=3,
+                push_retry_delay=0.01,
+            )
+            with pytest.raises(TransportError) as excinfo:
+                await edge.push_now()
+            with pytest.raises(TransportError):
+                await edge.stop()  # the final push fails the same way
+            return str(excinfo.value)
+
+        message = asyncio.run(scenario())
+        assert "after 3 attempt(s)" in message
+        assert "attempts 1,2,3: " in message
+        assert message.count("attempt") == 2
 
     def test_stop_always_pushes_even_when_idle(self):
         """An edge that accepted nothing still registers at the root."""

@@ -21,9 +21,11 @@ from repro.exceptions import (
     AggregationError,
     ContractMismatchError,
     DimensionError,
+    StorageError,
     TransportError,
     WireFormatError,
 )
+from repro.federation import RootAggregator
 from repro.session import (
     CategoricalAttribute,
     LDPClient,
@@ -41,6 +43,7 @@ from repro.transport import (
     CollectionGateway,
     serve_collection,
 )
+from repro.storage import JsonFileStore
 from repro.transport.framing import HELLO, HELLO_REPLY, SENDER_ID_SIZE, read_status
 
 SCHEMA = Schema(
@@ -373,7 +376,7 @@ class TestFrameRejection:
 
 
 class TestGatewayLifecycle:
-    def test_queue_depth_validated(self):
+    def test_queue_depth_validated(self, tmp_path):
         server = ShardedServer(SCHEMA, EPSILON, protocols=SPEC, shards=2)
         with pytest.raises(DimensionError):
             CollectionGateway(server, queue_depth=0)
@@ -382,6 +385,18 @@ class TestGatewayLifecycle:
             CollectionGateway(server, queue_depth=2.5)
         with pytest.raises(DimensionError, match="integer"):
             CollectionGateway(server, max_frame_bytes=1e6)
+        # The frame limit is validated once for every stream server: the
+        # root refuses exactly what the gateway refuses.
+        for limit in (0, -5, 2.5):
+            with pytest.raises(DimensionError):
+                CollectionGateway(server, max_frame_bytes=limit)
+            with pytest.raises(DimensionError):
+                RootAggregator(
+                    SCHEMA, EPSILON, protocols=SPEC, max_frame_bytes=limit
+                )
+        store = JsonFileStore(tmp_path / "round.json")
+        with pytest.raises(StorageError, match="integer"):
+            CollectionGateway(server, store=store, checkpoint_every_frames=2.5)
 
     def test_port_requires_serving(self):
         server = ShardedServer(SCHEMA, EPSILON, protocols=SPEC, shards=2)
