@@ -30,6 +30,13 @@ from ..mechanisms.base import Mechanism, validate_epsilon
 from .population import ValueDistribution
 
 
+def envelope_quantile(confidence: float) -> float:
+    """Two-sided Gaussian quantile ``z`` with ``P(|Z| ≤ z) = confidence``."""
+    if not 0.0 < confidence < 1.0:
+        raise ParameterError("confidence must lie in (0, 1), got %g" % confidence)
+    return stats.norm.ppf(0.5 + confidence / 2.0)
+
+
 @dataclass(frozen=True)
 class DeviationModel:
     """Gaussian model ``θ̂_j − θ̄_j ~ N(delta, sigma²)`` for one dimension.
@@ -58,6 +65,8 @@ class DeviationModel:
     def __post_init__(self) -> None:
         if self.sigma <= 0.0 or not math.isfinite(self.sigma):
             raise DistributionError("sigma must be positive, got %g" % self.sigma)
+        if not math.isfinite(self.delta):
+            raise DistributionError("delta must be finite, got %g" % self.delta)
 
     # -------------------------------------------------------------- density
 
@@ -96,10 +105,7 @@ class DeviationModel:
         reading of the paper's ``sup|θ̂_j − θ̄_j|``, which is infinite for
         a literal Gaussian.
         """
-        if not 0.0 < confidence < 1.0:
-            raise ParameterError("confidence must lie in (0, 1), got %g" % confidence)
-        z = stats.norm.ppf(0.5 + confidence / 2.0)
-        return abs(self.delta) + z * self.sigma
+        return abs(self.delta) + envelope_quantile(confidence) * self.sigma
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """Draw deviations from the Gaussian model (for simulation studies)."""

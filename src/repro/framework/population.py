@@ -79,9 +79,13 @@ class ValueDistribution:
         arr = np.asarray(column, dtype=np.float64).ravel()
         if arr.size == 0:
             raise DistributionError("cannot build a distribution from no data")
+        if not np.isfinite(arr).all():
+            raise DistributionError("data column holds NaN or infinite values")
         if bins is None:
             values, counts = np.unique(arr, return_counts=True)
             return cls(values, counts / arr.size)
+        if bins < 1:
+            raise DistributionError("bins must be >= 1, got %d" % bins)
         counts, edges = np.histogram(arr, bins=int(bins))
         mids = 0.5 * (edges[:-1] + edges[1:])
         keep = counts > 0

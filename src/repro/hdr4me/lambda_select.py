@@ -43,17 +43,16 @@ DEFAULT_CONFIDENCE = 0.9973
 DEFAULT_FLOOR = 0.05
 
 
-def _as_models(model: ModelLike) -> Sequence[DeviationModel]:
-    if isinstance(model, MultivariateDeviationModel):
-        return model.dimensions
-    return list(model)
-
-
 def deviation_envelopes(
     model: ModelLike, confidence: float = DEFAULT_CONFIDENCE
 ) -> np.ndarray:
     """Per-dimension high-confidence envelopes of ``|θ̂_j − θ̄_j|``."""
-    return np.array([m.envelope(confidence) for m in _as_models(model)])
+    if not isinstance(model, MultivariateDeviationModel):
+        models = list(model)
+        if not models:
+            return np.array([])
+        model = MultivariateDeviationModel(models)
+    return model.envelopes(confidence)
 
 
 def l1_lambda(

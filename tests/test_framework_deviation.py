@@ -120,6 +120,11 @@ class TestModelQueries:
         with pytest.raises(DistributionError):
             DeviationModel(delta=0.0, sigma=0.0, reports=10, epsilon=1.0)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(DistributionError, match="delta must be finite"):
+            DeviationModel(delta=delta, sigma=1.0, reports=10, epsilon=1.0)
+
 
 class TestAgainstSimulation:
     """The framework's core claim: the Gaussian matches actual aggregation."""

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import DimensionError
+from repro.exceptions import DimensionError, ParameterError
 from repro.framework import (
     DeviationModel,
     MultivariateDeviationModel,
     ValueDistribution,
+    build_deviation_model,
     build_multivariate_model,
 )
 from repro.mechanisms import LaplaceMechanism, PiecewiseMechanism
@@ -94,6 +95,45 @@ class TestProbabilities:
         with pytest.raises(DimensionError):
             _model([0.0, 0.0], [1.0, 1.0]).box_probability([1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("suprema", [float("nan"), [1.0, float("nan")]])
+    def test_nan_suprema_rejected(self, suprema):
+        model = _model([0.0, 0.0], [1.0, 1.0])
+        for query in (
+            model.box_probability,
+            model.any_outside_probability,
+            model.all_outside_probability,
+        ):
+            with pytest.raises(ParameterError, match="NaN"):
+                query(suprema)
+
+    def test_infinite_suprema_allowed(self):
+        model = _model([0.3, -0.2], [1.0, 2.0])
+        assert model.box_probability(float("inf")) == 1.0
+        assert model.any_outside_probability(float("inf")) == 0.0
+        assert model.all_outside_probability(float("inf")) == 0.0
+
+
+class TestVectors:
+    def test_vectors_are_cached_and_read_only(self):
+        model = _model([0.1, -0.2], [1.0, 2.0])
+        assert model.deltas is model.deltas
+        assert model.sigmas is model.sigmas
+        with pytest.raises(ValueError):
+            model.deltas[0] = 5.0
+        np.testing.assert_array_equal(model.deltas, [0.1, -0.2])
+        np.testing.assert_array_equal(model.sigmas, [1.0, 2.0])
+
+    def test_caller_list_mutation_does_not_desync(self):
+        dims = [DeviationModel(delta=0.0, sigma=1.0, reports=10, epsilon=1.0)]
+        model = MultivariateDeviationModel(dims)
+        dims.append(DeviationModel(delta=1.0, sigma=2.0, reports=10, epsilon=1.0))
+        assert model.ndim == 1 == model.deltas.size
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, 1.5])
+    def test_envelopes_invalid_confidence(self, confidence):
+        with pytest.raises(ParameterError):
+            _model([0.0], [1.0]).envelopes(confidence)
+
 
 class TestMsePrediction:
     def test_expected_squared_l2(self):
@@ -135,6 +175,25 @@ class TestBuilder:
         )
         assert model.ndim == 5
         assert np.allclose(model.sigmas, model.sigmas[0])
+
+    @pytest.mark.parametrize(
+        "mechanism, population",
+        [
+            (PiecewiseMechanism(), ValueDistribution.case_study()),
+            (LaplaceMechanism(), None),
+        ],
+    )
+    def test_shared_population_equals_per_dimension_build(self, mechanism, population):
+        model = build_multivariate_model(mechanism, 0.1, 100, population, ndim=4)
+        per_dim = MultivariateDeviationModel(
+            [build_deviation_model(mechanism, 0.1, 100, population) for _ in range(4)]
+        )
+        assert model == per_dim
+
+    @pytest.mark.parametrize("ndim", [0, -1])
+    def test_shared_population_needs_positive_ndim(self, ndim):
+        with pytest.raises(DimensionError):
+            build_multivariate_model(LaplaceMechanism(), 0.5, 100, None, ndim=ndim)
 
     def test_per_dimension_populations(self):
         pops = [

@@ -49,6 +49,17 @@ class TestConstructors:
         with pytest.raises(DistributionError):
             ValueDistribution.from_data([])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("bins", [None, 8])
+    def test_from_data_non_finite_rejected(self, bad, bins):
+        with pytest.raises(DistributionError, match="NaN or infinite"):
+            ValueDistribution.from_data([0.0, bad, 1.0], bins=bins)
+
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_from_data_bins_below_one_rejected(self, bins):
+        with pytest.raises(DistributionError, match="bins must be >= 1"):
+            ValueDistribution.from_data([0.0, 0.5, 1.0], bins=bins)
+
     def test_uniform_grid(self):
         dist = ValueDistribution.uniform_grid(0.0, 1.0, 5)
         np.testing.assert_allclose(dist.probabilities, 0.2)

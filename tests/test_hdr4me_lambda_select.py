@@ -37,6 +37,9 @@ class TestEnvelopes:
             deviation_envelopes(model), deviation_envelopes(model.dimensions)
         )
 
+    def test_empty_sequence_gives_empty_array(self):
+        assert deviation_envelopes([]).size == 0
+
 
 class TestL1Lambda:
     def test_equals_envelope(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import mse, true_mean
-from repro.exceptions import DimensionError
+from repro.exceptions import DimensionError, DistributionError
 from repro.framework import ValueDistribution
 from repro.hdr4me import Recalibrator
 from repro.mechanisms import LaplaceMechanism, PiecewiseMechanism, get_mechanism
@@ -128,6 +128,12 @@ class TestDeviationModelBridge:
     def test_build_populations_validates(self):
         with pytest.raises(DimensionError):
             build_populations(np.zeros(5))
+
+    def test_build_populations_nan_column_rejected(self):
+        data = np.zeros((5, 3))
+        data[2, 1] = np.nan
+        with pytest.raises(DistributionError, match="NaN or infinite"):
+            build_populations(data)
 
     def test_run_enhanced_convenience(self, rng):
         data = rng.uniform(-1, 1, size=(3000, 50))
