@@ -4,9 +4,15 @@ All errors raised by the library derive from :class:`ReproError`, so callers
 can catch a single base class. Specific subclasses distinguish configuration
 mistakes (bad privacy budgets, malformed domains) from runtime data problems
 (values outside the declared domain, empty report sets).
+:func:`positive_count` and :func:`positive_seconds` check constructor
+arguments, raising the caller's typed error for anything else.
 """
 
 from __future__ import annotations
+
+import math
+import operator
+from typing import Any, Type
 
 
 class ReproError(Exception):
@@ -127,3 +133,25 @@ class TransportError(ReproError, RuntimeError):
     or produced under the wrong contract (:class:`ContractMismatchError`),
     both of which keep their own types when reported over a socket.
     """
+
+
+def positive_count(name: str, value: Any, error: Type[ReproError]) -> int:
+    """``value`` as an ``int >= 1``, or ``error`` — ``2.5`` is never ``2``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise error("%s must be an integer, got %r" % (name, value)) from None
+    if count < 1:
+        raise error("%s must be >= 1, got %r" % (name, value))
+    return count
+
+
+def positive_seconds(name: str, value: Any, error: Type[ReproError]) -> float:
+    """``value`` as a finite ``float > 0``, or ``error`` — ``nan`` is no period."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        raise error("%s must be a number, got %r" % (name, value)) from None
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise error("%s must be finite and > 0, got %r" % (name, value))
+    return seconds

@@ -157,9 +157,9 @@ def write_metrics_snapshot(
     """Write one ``--metrics`` snapshot document as JSON.
 
     The document shape is shared by all three socket modes: ``mode``
-    names which side wrote it, ``counters`` are that side's plain
-    authoritative integers, and ``metrics`` is the full registry
-    snapshot (histograms, time-weighted gauges, labelled families).
+    names which side wrote it, ``counters`` are that side's integer
+    counts, and ``metrics`` is the full registry snapshot (histograms,
+    time-weighted gauges, labelled families).
     """
     document = {"mode": mode, "counters": counters, "metrics": registry.snapshot()}
     pathlib.Path(path).write_text(
@@ -243,7 +243,6 @@ def run_collection_gateway(
             shards=shards,
         )
         store = open_store(checkpoint) if checkpoint is not None else None
-        registry = MetricsRegistry()
         gateway = None
         try:
             gateway = await serve_collection(
@@ -253,7 +252,6 @@ def run_collection_gateway(
                 queue_depth=queue_depth,
                 store=store,
                 checkpoint_every_frames=checkpoint_every,
-                metrics=registry,
                 ssl=server_ssl,
             )
             try:
@@ -272,7 +270,7 @@ def run_collection_gateway(
             if metrics_path is not None and gateway is not None:
                 snapshot = gateway.stats_snapshot()
                 write_metrics_snapshot(
-                    metrics_path, "serve", snapshot["counters"], registry
+                    metrics_path, "serve", snapshot["counters"], gateway.telemetry
                 )
 
     return asyncio.run(_serve())
@@ -309,8 +307,6 @@ def run_collection_sender(
         round_contract(),
     )
     stream = frames + [heartbeat]
-    registry = MetricsRegistry() if metrics_path is not None else None
-
     sender = asyncio.run(
         replay_frames(
             host,
@@ -320,11 +316,10 @@ def run_collection_sender(
             round_sender_id(seed),
             attempts=retry,
             retry_delay=0.5,
-            metrics=registry,
             ssl=client_ssl,
         )
     )
-    if registry is not None:
+    if metrics_path is not None:
         write_metrics_snapshot(
             metrics_path,
             "connect",
@@ -334,7 +329,7 @@ def run_collection_sender(
                 "bytes_sent": sender.bytes_sent,
                 "resume_seq": sender.resume_seq,
             },
-            registry,
+            sender.telemetry,
         )
     # Skips cover a prefix of the stream (the gateway's watermark), so
     # the payload split is exact; the heartbeat is the final frame.
@@ -364,23 +359,19 @@ def run_oneshot_reference(
     ``diff`` against a gateway's output asserts that the socket path —
     concurrent clients, sharded consumers, backpressure stalls and all —
     changed the estimate by exactly nothing. With ``metrics_path`` the
-    server is instrumented (decode timing, fold counters) and the
-    snapshot written on exit — telemetry never changes the estimate, so
-    the diff stays empty either way.
+    server's telemetry (decode timing, fold counters) is written on exit
+    — telemetry never changes the estimate, so the diff stays empty.
     """
     server = LDPServer(round_schema(), ROUND_EPSILON, protocols=ROUND_PROTOCOLS)
-    registry = MetricsRegistry() if metrics_path is not None else None
-    if registry is not None:
-        server.attach_telemetry(registry)
     for seed in seeds:
         for frame in round_frames(seed, users, batches):
             server.ingest_encoded(frame)
-    if registry is not None:
+    if metrics_path is not None:
         write_metrics_snapshot(
             metrics_path,
             "oneshot",
             {"users_folded": server.users},
-            registry,
+            server.telemetry,
         )
     return format_round_estimate(server.estimate())
 
@@ -415,7 +406,6 @@ def run_federation_root(
 
     async def _serve() -> str:
         store = open_store(checkpoint) if checkpoint is not None else None
-        registry = MetricsRegistry()
         root = None
         try:
             root = await serve_root(
@@ -425,7 +415,6 @@ def run_federation_root(
                 host=host,
                 port=port,
                 store=store,
-                metrics=registry,
                 ssl=server_ssl,
             )
             try:
@@ -443,7 +432,7 @@ def run_federation_root(
             if metrics_path is not None and root is not None:
                 snapshot = root.stats_snapshot()
                 write_metrics_snapshot(
-                    metrics_path, "root", snapshot["counters"], registry
+                    metrics_path, "root", snapshot["counters"], root.telemetry
                 )
 
     return asyncio.run(_serve())
@@ -494,7 +483,6 @@ def run_federation_edge(
 
     async def _serve() -> str:
         store = open_store(checkpoint) if checkpoint is not None else None
-        registry = MetricsRegistry()
         edge = None
         try:
             edge = EdgeAggregator(
@@ -509,7 +497,6 @@ def run_federation_edge(
                 push_every_frames=push_every,
                 push_attempts=retry,
                 push_retry_delay=0.5,
-                metrics=registry,
             )
             await edge.start(
                 upstream_host,
@@ -541,7 +528,7 @@ def run_federation_edge(
                 counters = dict(snapshot["counters"])
                 counters.update(snapshot["federation"])
                 write_metrics_snapshot(
-                    metrics_path, "edge", counters, registry
+                    metrics_path, "edge", counters, edge.telemetry
                 )
 
     return asyncio.run(_serve())

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping, Tuple
 
 from ..exceptions import CheckpointCorruptError
+from ..storage.checkpoint import parse_watermark_ledger
 from ..wire.contract import CollectionContract
 
 FEDERATION_FORMAT = "repro-federation-round"
@@ -58,41 +59,13 @@ def parse_federation_checkpoint(
 
     Returns the per-edge records keyed by raw edge-id bytes again.
     """
-    if (
-        not isinstance(document, Mapping)
-        or document.get("format") != FEDERATION_FORMAT
-    ):
-        raise CheckpointCorruptError(
-            "not a %r document: %r" % (FEDERATION_FORMAT, document)
-        )
-    if document.get("federation_version") != FEDERATION_VERSION:
-        raise CheckpointCorruptError(
-            "unsupported federation checkpoint version %r (this build "
-            "speaks %d)"
-            % (document.get("federation_version"), FEDERATION_VERSION)
-        )
-    fingerprint = document.get("fingerprint")
-    try:
-        digest = bytes.fromhex(fingerprint)
-    except (TypeError, ValueError):
-        raise CheckpointCorruptError(
-            "malformed federation checkpoint fingerprint: %r"
-            % (fingerprint,)
-        ) from None
-    contract.require_digest(digest, "federation checkpoint")
-    raw_edges = document.get("edges")
-    if not isinstance(raw_edges, Mapping):
-        raise CheckpointCorruptError(
-            "federation checkpoint carries no edge table: %r" % (raw_edges,)
-        )
+    raw_edges = parse_watermark_ledger(
+        document, contract, "federation", FEDERATION_FORMAT, FEDERATION_VERSION,
+        "edges", "edge",
+    )
     edges: Dict[bytes, EdgeRecord] = {}
-    for key, record in raw_edges.items():
-        try:
-            edge_id = bytes.fromhex(key)
-        except (TypeError, ValueError):
-            raise CheckpointCorruptError(
-                "malformed edge id %r in federation checkpoint" % (key,)
-            ) from None
+    for edge_id, record in raw_edges.items():
+        key = edge_id.hex()
         if not isinstance(record, Mapping):
             raise CheckpointCorruptError(
                 "malformed edge record %r for edge %s" % (record, key)

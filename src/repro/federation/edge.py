@@ -31,16 +31,22 @@ import asyncio
 import logging
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..exceptions import StateDeltaError, TransportError, WireFormatError
+from ..exceptions import (
+    StateDeltaError,
+    TransportError,
+    WireFormatError,
+    positive_count,
+    positive_seconds,
+)
 from ..session.client import ProtocolSpec
 from ..session.schema import Schema
 from ..session.server import Postprocessor, SessionEstimate
 from ..session.sharded import ShardedServer
 from ..storage import CheckpointStore
-from ..telemetry import MetricsRegistry, emit, event_logger
+from ..telemetry import MetricsRegistry, counted, emit, event_logger
 from ..transport.framing import DEFAULT_MAX_FRAME_BYTES
 from ..transport.gateway import CollectionGateway
-from ..transport.stream import _as_sender_id, positive_count, retry_summary
+from ..transport.stream import _as_sender_id, retry_summary
 from ..wire.contract import CollectionContract
 from .pusher import StatePusher
 from .state_push import state_dict_delta
@@ -102,10 +108,9 @@ class EdgeAggregator:
             push_every_frames = positive_count(
                 "push_every_frames", push_every_frames, TransportError
             )
-        if push_every_seconds is not None and float(push_every_seconds) <= 0:
-            raise TransportError(
-                "push_every_seconds must be > 0, got %r"
-                % (push_every_seconds,)
+        if push_every_seconds is not None:
+            push_every_seconds = positive_seconds(
+                "push_every_seconds", push_every_seconds, TransportError
             )
         push_attempts = positive_count(
             "push_attempts", push_attempts, TransportError
@@ -113,7 +118,7 @@ class EdgeAggregator:
         self.telemetry = metrics if metrics is not None else MetricsRegistry()
         self.server = ShardedServer(
             schema, epsilon, sampled_attributes, protocols, shards=shards
-        ).attach_telemetry(self.telemetry)
+        )
         self.gateway = CollectionGateway(
             self.server,
             queue_depth=queue_depth,
@@ -125,9 +130,7 @@ class EdgeAggregator:
         )
         self.edge_id = _as_sender_id(edge_id)
         self.push_every_frames = push_every_frames
-        self.push_every_seconds = (
-            None if push_every_seconds is None else float(push_every_seconds)
-        )
+        self.push_every_seconds = push_every_seconds
         self.push_attempts = push_attempts
         self.push_retry_delay = float(push_retry_delay)
         self._upstream: Optional[Tuple[str, int]] = None
@@ -144,9 +147,6 @@ class EdgeAggregator:
         #: full snapshot (first push, failed delta, edge restart).
         self._base_state: Optional[Dict[str, Any]] = None
         self._base_epoch = 0
-        self.pushes_completed = 0
-        self.delta_pushes = 0
-        self.push_retries = 0
         self.last_epoch = 0
         self.last_push_error: Optional[Exception] = None
         self._log = event_logger("edge")
@@ -189,6 +189,13 @@ class EdgeAggregator:
     def users(self) -> int:
         """Users folded into the local shards so far."""
         return self.server.users
+
+    #: Upstream pushes acknowledged by the root.
+    pushes_completed = counted("_m_pushes")
+    #: Acknowledged pushes shipped as deltas instead of snapshots.
+    delta_pushes = counted("_m_delta_pushes")
+    #: Push attempts that failed with a transport error.
+    push_retries = counted("_m_push_retries")
 
     async def start(
         self,
@@ -390,7 +397,6 @@ class EdgeAggregator:
                         epoch = await pusher.push(state, counters)
                 except (TransportError, ConnectionError, OSError) as exc:
                     failures.append((attempt, exc))
-                    self.push_retries += 1
                     self._m_push_retries.inc()
                     emit(
                         self._log,
@@ -412,7 +418,6 @@ class EdgeAggregator:
                     self._base_state = None
                     self._base_epoch = 0
                     failures.append((attempt, exc))
-                    self.push_retries += 1
                     self._m_push_retries.inc()
                     emit(
                         self._log,
@@ -424,9 +429,7 @@ class EdgeAggregator:
                     )
                     await self._close_pusher()
                     continue
-                self.pushes_completed += 1
                 if as_delta:
-                    self.delta_pushes += 1
                     self._m_delta_pushes.inc()
                 self._base_state = state
                 self._base_epoch = epoch

@@ -72,11 +72,10 @@ class StatePusher(StreamClient):
         #: their delta base to know whether the root holds the state a
         #: delta would build on.
         self.acked_epoch = resume_epoch
-        if metrics is not None:
-            self._m_push_seconds = metrics.histogram(
-                "pusher_push_seconds",
-                "Encode + ship + root-ack round trip per push",
-            )
+        self._m_push_seconds = self.telemetry.histogram(
+            "pusher_push_seconds",
+            "Encode + ship + root-ack round trip per push",
+        )
 
     @property
     def pushes_sent(self) -> int:
@@ -104,16 +103,13 @@ class StatePusher(StreamClient):
         anything short of losing the root's storage.
         """
         self._require_open()
-        started = (
-            self.telemetry.clock() if self.telemetry is not None else 0.0
-        )
+        started = self.telemetry.clock()
         payload = encode_state_push(state, counters, kind, base_epoch)
         epoch = self._next_epoch
         self._next_epoch += 1
         await self._exchange(epoch, payload)
         self.acked_epoch = epoch
-        if self.telemetry is not None:
-            self._m_push_seconds.observe(self.telemetry.clock() - started)
+        self._m_push_seconds.observe(self.telemetry.clock() - started)
         emit(
             _LOG,
             "state_pushed",

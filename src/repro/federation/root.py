@@ -38,7 +38,7 @@ from ..session.client import ProtocolSpec
 from ..session.schema import Schema
 from ..session.server import LDPServer, Postprocessor, SessionEstimate
 from ..storage import CheckpointStore
-from ..telemetry import MetricsRegistry, emit
+from ..telemetry import MetricsRegistry, counted, emit
 from ..transport.framing import (
     DEFAULT_MAX_FRAME_BYTES,
     STATUS_CONTRACT_MISMATCH,
@@ -99,11 +99,9 @@ class RootAggregator(StreamServer):
         self._constructor_args = (schema, epsilon, sampled_attributes, protocols)
         self._template = LDPServer(schema, epsilon, sampled_attributes, protocols)
         self._edges: Dict[bytes, EdgeRecord] = {}
-        # Counters: a push is "accepted" once validated, folded into the
-        # edge table and (with a store) persisted durably.
-        self.pushes_accepted = 0
-        self.deltas_applied = 0
-        self.bytes_received = 0
+        # Counts live in the registry only: a push is "accepted" once
+        # validated, folded into the edge table and (with a store)
+        # persisted durably.
         registry = self.telemetry
         self._m_pushes_accepted = registry.counter(
             "root_pushes_accepted_total",
@@ -200,15 +198,16 @@ class RootAggregator(StreamServer):
         """Edges that have pushed (or been recovered) so far."""
         return len(self._edges)
 
-    @property
-    def pushes_rejected(self) -> int:
-        """Pushes refused after the handshake."""
-        return self._rejected
-
-    @property
-    def pushes_deduped(self) -> int:
-        """Replayed epochs acknowledged without folding."""
-        return self._deduped
+    #: Pushes validated, folded and acknowledged.
+    pushes_accepted = counted("_m_pushes_accepted")
+    #: Accepted pushes that arrived as deltas over a stored base.
+    deltas_applied = counted("_m_deltas_applied")
+    #: Payload bytes of accepted pushes.
+    bytes_received = counted("_m_bytes_received")
+    #: Pushes refused after the handshake.
+    pushes_rejected = counted("_m_rejected")
+    #: Replayed epochs acknowledged without folding.
+    pushes_deduped = counted("_m_deduped")
 
     def _users_covered(self) -> int:
         return self.users
@@ -240,10 +239,11 @@ class RootAggregator(StreamServer):
     def stats_snapshot(self) -> Dict[str, Any]:
         """Root counters, per-edge records and the aggregated edge view.
 
-        ``counters`` are the root's own integers; ``edges`` maps edge id
-        (hex) to its newest epoch, covered users and self-reported
-        gateway counters; ``edge_totals`` sums those reported counters
-        across edges — one snapshot describes the whole topology.
+        ``counters`` are integer reads of the root's registry; ``edges``
+        maps edge id (hex) to its newest epoch, covered users and
+        self-reported gateway counters; ``edge_totals`` sums those
+        reported counters across edges — one snapshot describes the
+        whole topology.
         """
         edge_totals: Dict[str, int] = {}
         edges: Dict[str, Any] = {}
@@ -258,11 +258,11 @@ class RootAggregator(StreamServer):
                     edge_totals[name] = edge_totals.get(name, 0) + value
         counters = {
             "pushes_accepted": self.pushes_accepted,
-            "pushes_deduped": self._deduped,
+            "pushes_deduped": self.pushes_deduped,
             "deltas_applied": self.deltas_applied,
-            "pushes_rejected": self._rejected,
+            "pushes_rejected": self.pushes_rejected,
             "handshakes_rejected": self.handshakes_rejected,
-            "rejections_total": self._rejected + self.handshakes_rejected,
+            "rejections_total": self.pushes_rejected + self.handshakes_rejected,
             "bytes_received": self.bytes_received,
             "checkpoints_written": self.checkpoints_written,
             "edges": len(self._edges),
@@ -343,12 +343,9 @@ class RootAggregator(StreamServer):
                     exc,
                     "root checkpoint failed: %s" % exc,
                 )
-        self.pushes_accepted += 1
-        self.bytes_received += len(payload)
         self._m_pushes_accepted.inc()
         self._m_bytes_received.inc(len(payload))
         if push.kind == PUSH_KIND_DELTA:
-            self.deltas_applied += 1
             self._m_deltas_applied.inc()
         self._m_fold_seconds.observe(self._clock() - started)
         self._observe_edge(edge_id, epoch, state)

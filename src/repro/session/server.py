@@ -33,6 +33,7 @@ import numpy as np
 from ..exceptions import AggregationError, DimensionError, WireFormatError
 from ..framework.multivariate import MultivariateDeviationModel
 from ..protocol.budget import BudgetPlan
+from ..telemetry import MetricsRegistry
 from ..wire.codec import decode_batch
 from ..wire.contract import CollectionContract
 from .client import ProtocolSpec, ReportBatch, resolve_collectors
@@ -187,19 +188,17 @@ class LDPServer:
             for name, collector in self.collectors.items()
         }
         self._users = 0
-        # Observability is opt-in: the fold hot path pays one None check
-        # until attach_telemetry() is called.
-        self.telemetry = None
+        self.attach_telemetry(MetricsRegistry())
 
-    def attach_telemetry(self, metrics) -> "LDPServer":
-        """Instrument this server against a telemetry registry.
+    def attach_telemetry(self, metrics: MetricsRegistry) -> "LDPServer":
+        """Instrument this server against a shared telemetry registry.
 
-        Registers batch/user fold counters, a wire-decode latency
-        histogram and a decoded-bytes counter in ``metrics`` (a
-        :class:`~repro.telemetry.MetricsRegistry`; registration is
-        idempotent, so many servers can share one registry). Returns
-        ``self`` for chaining. Telemetry never alters aggregation —
-        estimates with and without it are bit-identical.
+        Every server starts with a registry of its own; this moves it
+        onto ``metrics``, registering batch/user fold counters, a
+        wire-decode latency histogram and a decoded-bytes counter there
+        (registration is idempotent, so many servers can share one
+        registry). Returns ``self`` for chaining. Telemetry never alters
+        aggregation.
         """
         self.telemetry = metrics
         self._m_batches_folded = metrics.counter(
@@ -332,9 +331,8 @@ class LDPServer:
         for name, payload in canonical.items():
             self.collectors[name].fold(self._states[name], payload)
         self._users += users
-        if self.telemetry is not None:
-            self._m_batches_folded.inc()
-            self._m_users_folded.inc(users)
+        self._m_batches_folded.inc()
+        self._m_users_folded.inc(users)
 
     def ingest(
         self, reports: Union[ReportBatch, Iterable[ReportBatch]]
@@ -366,8 +364,6 @@ class LDPServer:
         bytes raise :class:`~repro.exceptions.WireFormatError`, in both
         cases before any state is touched.
         """
-        if self.telemetry is None:
-            return self.ingest(decode_batch(data, contract=self.contract))
         started = self.telemetry.clock()
         batch = decode_batch(data, contract=self.contract)
         self._m_decode_seconds.observe(self.telemetry.clock() - started)
@@ -391,8 +387,7 @@ class LDPServer:
         for name, collector in self.collectors.items():
             collector.merge_states(self._states[name], other._states[name])
         self._users += other._users
-        if self.telemetry is not None:
-            self._m_merges.inc()
+        self._m_merges.inc()
         return self
 
     def reset(self) -> None:
@@ -419,8 +414,7 @@ class LDPServer:
         for name, collector in self.collectors.items():
             collector.merge_states(self._states[name], restored[name])
         self._users += users
-        if self.telemetry is not None:
-            self._m_merges.inc()
+        self._m_merges.inc()
         return self
 
     # --------------------------------------------------------- checkpoints

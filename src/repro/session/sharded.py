@@ -28,6 +28,7 @@ import pathlib
 from typing import Dict, Iterable, Optional, Union
 
 from ..exceptions import DimensionError
+from ..telemetry import MetricsRegistry
 from ..wire.codec import decode_batch
 from ..wire.contract import CollectionContract
 from .client import ProtocolSpec, ReportBatch
@@ -68,13 +69,15 @@ class ShardedServer:
             for _ in range(count)
         )
         self._cursor = 0
-        self.telemetry = None
+        self.attach_telemetry(self.shards[0].telemetry)
 
-    def attach_telemetry(self, metrics) -> "ShardedServer":
+    def attach_telemetry(self, metrics: MetricsRegistry) -> "ShardedServer":
         """Instrument every shard against one shared telemetry registry.
 
-        Shards register their instruments idempotently, so the fold
-        counters aggregate across the whole topology. Returns ``self``.
+        The topology starts on its first shard's registry; this moves
+        every shard onto ``metrics``. Shards register their instruments
+        idempotently, so the fold counters aggregate across the whole
+        topology. Returns ``self``.
         """
         self.telemetry = metrics
         for shard in self.shards:
@@ -198,8 +201,7 @@ class ShardedServer:
     def _install_restored(self, restored: LDPServer) -> None:
         for shard in self.shards[1:]:
             shard.reset()
-        if self.telemetry is not None:
-            restored.attach_telemetry(self.telemetry)
+        restored.attach_telemetry(self.telemetry)
         self.shards = (restored,) + self.shards[1:]
         self._cursor = 0
 

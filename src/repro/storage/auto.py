@@ -21,8 +21,8 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Optional
 
-from ..exceptions import StorageError
-from ..telemetry import MetricsRegistry, emit, event_logger
+from ..exceptions import StorageError, positive_count, positive_seconds
+from ..telemetry import MetricsRegistry, counted, emit, event_logger
 from .base import CheckpointStore
 
 _LOG = event_logger("auto_checkpointer")
@@ -46,9 +46,9 @@ class AutoCheckpointer:
     clock:
         Monotonic time source (injectable for tests).
     metrics:
-        Optional :class:`~repro.telemetry.MetricsRegistry`; when given,
-        checkpoint cuts are counted and timed (and the store is
-        instrumented too if it is not already).
+        Optional :class:`~repro.telemetry.MetricsRegistry` (one is
+        created when omitted) counting and timing checkpoint cuts; the
+        store is attached to it too.
 
     At least one trigger must be given.
     """
@@ -67,34 +67,32 @@ class AutoCheckpointer:
                 "an AutoCheckpointer needs at least one trigger "
                 "(every_frames and/or every_seconds)"
             )
-        if every_frames is not None and int(every_frames) < 1:
-            raise StorageError(
-                "every_frames must be >= 1, got %r" % (every_frames,)
-            )
-        if every_seconds is not None and float(every_seconds) <= 0:
-            raise StorageError(
-                "every_seconds must be > 0, got %r" % (every_seconds,)
+        if every_frames is not None:
+            every_frames = positive_count("every_frames", every_frames, StorageError)
+        if every_seconds is not None:
+            every_seconds = positive_seconds(
+                "every_seconds", every_seconds, StorageError
             )
         self.server = server
         self.store = store
-        self.every_frames = None if every_frames is None else int(every_frames)
-        self.every_seconds = None if every_seconds is None else float(every_seconds)
+        self.every_frames = every_frames
+        self.every_seconds = every_seconds
         self._clock = clock
         self._frames_since_checkpoint = 0
         self._last_checkpoint_at = clock()
-        self.checkpoints_written = 0
-        self.telemetry = metrics
-        if metrics is not None:
-            self._m_checkpoints = metrics.counter(
-                "auto_checkpoints_written_total",
-                "Snapshots persisted by the auto-checkpointer",
-            )
-            self._m_checkpoint_seconds = metrics.histogram(
-                "auto_checkpoint_seconds",
-                "state_dict() + store.save() per auto-checkpoint",
-            )
-            if store.telemetry is None:
-                store.attach_telemetry(metrics)
+        self.telemetry = metrics if metrics is not None else MetricsRegistry()
+        self._m_checkpoints = self.telemetry.counter(
+            "auto_checkpoints_written_total",
+            "Snapshots persisted by the auto-checkpointer",
+        )
+        self._m_checkpoint_seconds = self.telemetry.histogram(
+            "auto_checkpoint_seconds",
+            "state_dict() + store.save() per auto-checkpoint",
+        )
+        store.attach_telemetry(self.telemetry)
+
+    #: Snapshots persisted so far.
+    checkpoints_written = counted("_m_checkpoints")
 
     # ------------------------------------------------------------- ingest
 
@@ -135,13 +133,11 @@ class AutoCheckpointer:
         frames = self._frames_since_checkpoint
         started = self._clock()
         self.store.save(self.server.state_dict())
-        self.checkpoints_written += 1
         self._frames_since_checkpoint = 0
         self._last_checkpoint_at = self._clock()
         seconds = self._last_checkpoint_at - started
-        if self.telemetry is not None:
-            self._m_checkpoints.inc()
-            self._m_checkpoint_seconds.observe(seconds)
+        self._m_checkpoints.inc()
+        self._m_checkpoint_seconds.observe(seconds)
         emit(
             _LOG,
             "checkpoint_cut",

@@ -104,16 +104,16 @@ class CheckpointStore(abc.ABC):
     #: URI scheme this backend answers to (``file``/``sqlite``/``segments``).
     scheme: str = ""
 
-    #: Optional :class:`~repro.telemetry.MetricsRegistry`; ``None`` means
-    #: uninstrumented (the default — observability is strictly opt-in).
-    telemetry: Optional[MetricsRegistry] = None
+    def __init__(self) -> None:
+        self.attach_telemetry(MetricsRegistry())
 
     def attach_telemetry(self, metrics: MetricsRegistry) -> "CheckpointStore":
         """Instrument this store against ``metrics`` (idempotent).
 
-        Registers ``storage_save_seconds`` / ``storage_load_seconds`` /
-        ``storage_recover_seconds`` histograms,
-        ``storage_bytes_written_total`` and
+        Every store starts with a registry of its own; this moves it
+        onto ``metrics``. Registers ``storage_save_seconds`` /
+        ``storage_load_seconds`` / ``storage_recover_seconds``
+        histograms, ``storage_bytes_written_total`` and
         ``storage_corrupt_records_skipped_total`` counters — all
         labelled by ``backend`` (the store's scheme), so one registry
         can carry several stores. Returns ``self`` for chaining.
@@ -139,19 +139,18 @@ class CheckpointStore(abc.ABC):
         ).labels(backend=self.scheme)
         return self
 
-    def _observe_op(self, op: str, seconds: float) -> None:
-        """Record one timed store operation (no-op when uninstrumented)."""
-        if self.telemetry is not None:
-            self._m_op_seconds[op].observe(seconds)
+    def _observe_op(self, op: str, started: float, nbytes: int = 0) -> None:
+        """Record one store operation timed from ``started`` (and its bytes).
 
-    def _observe_bytes(self, nbytes: int) -> None:
-        if self.telemetry is not None:
-            self._m_bytes_written.inc(nbytes)
+        Backends read ``started`` from ``self.telemetry.clock()``, so the
+        timing source is the registry's (injectable) clock.
+        """
+        self._m_op_seconds[op].observe(self.telemetry.clock() - started)
+        self._m_bytes_written.inc(nbytes)
 
     def _observe_corrupt_skip(self, generation: Any) -> None:
         """Count one damaged record skipped during :meth:`recover`."""
-        if self.telemetry is not None:
-            self._m_corrupt_skipped.inc()
+        self._m_corrupt_skipped.inc()
         emit(
             _LOG,
             "corrupt_skipped",
@@ -159,17 +158,6 @@ class CheckpointStore(abc.ABC):
             backend=self.scheme,
             generation=generation,
         )
-
-    def _op_clock(self) -> float:
-        """The telemetry clock, or 0.0 when uninstrumented.
-
-        Backends bracket their operations with this so the timing source
-        matches the registry's (injectable) clock; with no registry the
-        subtraction still works and the result is discarded.
-        """
-        if self.telemetry is not None:
-            return self.telemetry.clock()
-        return 0.0
 
     @abc.abstractmethod
     def save(self, document: Mapping[str, Any]) -> None:

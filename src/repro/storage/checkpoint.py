@@ -12,7 +12,9 @@ Structural damage (missing keys, wrong types, alien formats) raises
 :class:`~repro.exceptions.CheckpointCorruptError`; a checkpoint written
 under a *different* collection contract raises
 :class:`~repro.exceptions.ContractMismatchError` naming both
-fingerprints, exactly like batch ingestion does.
+fingerprints, exactly like batch ingestion does. The header checks are
+shared with the federation root's checkpoint through
+:func:`parse_watermark_ledger`.
 """
 
 from __future__ import annotations
@@ -58,6 +60,56 @@ def round_checkpoint_document(
     }
 
 
+def _unhex(text: Any, message: str) -> bytes:
+    """``text`` decoded from hex, or a corruption error ``message % text``."""
+    try:
+        return bytes.fromhex(text)
+    except (TypeError, ValueError):
+        raise CheckpointCorruptError(message % (text,)) from None
+
+
+def parse_watermark_ledger(
+    document: Any,
+    contract: CollectionContract,
+    kind: str,
+    tag: str,
+    version: int,
+    table: str,
+    peer: str,
+) -> Dict[bytes, Any]:
+    """Check a watermark-ledger document's header; its id-keyed table.
+
+    The round checkpoint (frame watermarks per sender) and the
+    federation checkpoint (epochs per edge) share one header: the
+    ``format`` tag, the version under ``<kind>_version``, the hex
+    contract fingerprint (checked against ``contract``), and a ``table``
+    keyed by hex ids of ``peer`` streams. Returns that table keyed by raw
+    id bytes; its values are the caller's to validate.
+    """
+    name = "%s checkpoint" % kind
+    version_key = "%s_version" % kind
+    if not isinstance(document, Mapping) or document.get("format") != tag:
+        raise CheckpointCorruptError("not a %r document: %r" % (tag, document))
+    if document.get(version_key) != version:
+        raise CheckpointCorruptError(
+            "unsupported %s version %r (this build speaks %d)"
+            % (name, document.get(version_key), version)
+        )
+    digest = _unhex(
+        document.get("fingerprint"), "malformed %s fingerprint: %%r" % name
+    )
+    contract.require_digest(digest, name)
+    entries = document.get(table)
+    if not isinstance(entries, Mapping):
+        raise CheckpointCorruptError(
+            "%s carries no %s table: %r" % (name, table, entries)
+        )
+    return {
+        _unhex(key, "malformed %s id %%r in %s" % (peer, name)): value
+        for key, value in entries.items()
+    }
+
+
 def parse_round_checkpoint(
     document: Mapping[str, Any],
     contract: CollectionContract,
@@ -67,50 +119,24 @@ def parse_round_checkpoint(
     Returns ``(state, progress, frames)`` with progress keyed by raw
     sender-id bytes again.
     """
-    if not isinstance(document, Mapping) or document.get("format") != ROUND_FORMAT:
-        raise CheckpointCorruptError(
-            "not a %r document: %r" % (ROUND_FORMAT, document)
-        )
-    if document.get("round_version") != ROUND_VERSION:
-        raise CheckpointCorruptError(
-            "unsupported round checkpoint version %r (this build speaks %d)"
-            % (document.get("round_version"), ROUND_VERSION)
-        )
-    fingerprint = document.get("fingerprint")
-    try:
-        digest = bytes.fromhex(fingerprint)
-    except (TypeError, ValueError):
-        raise CheckpointCorruptError(
-            "malformed round checkpoint fingerprint: %r" % (fingerprint,)
-        ) from None
-    contract.require_digest(digest, "round checkpoint")
-    state = document.get("state")
-    if not isinstance(state, Mapping):
-        raise CheckpointCorruptError(
-            "round checkpoint carries no state snapshot: %r" % (state,)
-        )
-    raw_progress = document.get("progress")
-    if not isinstance(raw_progress, Mapping):
-        raise CheckpointCorruptError(
-            "round checkpoint carries no progress table: %r" % (raw_progress,)
-        )
-    progress: Dict[bytes, int] = {}
-    for key, watermark in raw_progress.items():
-        try:
-            sender_id = bytes.fromhex(key)
-        except (TypeError, ValueError):
-            raise CheckpointCorruptError(
-                "malformed sender id %r in round checkpoint" % (key,)
-            ) from None
+    progress = parse_watermark_ledger(
+        document, contract, "round", ROUND_FORMAT, ROUND_VERSION, "progress", "sender"
+    )
+    for sender_id, watermark in progress.items():
         if (
             not isinstance(watermark, int)
             or isinstance(watermark, bool)
             or watermark < 0
         ):
             raise CheckpointCorruptError(
-                "malformed watermark %r for sender %s" % (watermark, key)
+                "malformed watermark %r for sender %s"
+                % (watermark, sender_id.hex())
             )
-        progress[sender_id] = watermark
+    state = document.get("state")
+    if not isinstance(state, Mapping):
+        raise CheckpointCorruptError(
+            "round checkpoint carries no state snapshot: %r" % (state,)
+        )
     frames = document.get("frames")
     if not isinstance(frames, int) or isinstance(frames, bool) or frames < 0:
         raise CheckpointCorruptError(

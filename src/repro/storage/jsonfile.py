@@ -31,6 +31,7 @@ class JsonFileStore(CheckpointStore):
     scheme = "file"
 
     def __init__(self, path: Union[str, pathlib.Path]) -> None:
+        super().__init__()
         self.path = pathlib.Path(path)
 
     def _path_for_uri(self) -> str:
@@ -38,7 +39,7 @@ class JsonFileStore(CheckpointStore):
 
     def save(self, document: Mapping[str, Any]) -> None:
         blob = encode_document(document)  # refuse before touching disk
-        started = self._op_clock()
+        started = self.telemetry.clock()
         scratch = self.path.with_name(self.path.name + ".tmp")
         try:
             scratch.write_text(blob.decode("utf-8") + "\n")
@@ -50,25 +51,24 @@ class JsonFileStore(CheckpointStore):
             with contextlib.suppress(OSError):
                 scratch.unlink()
             raise
-        self._observe_op("save", self._op_clock() - started)
-        self._observe_bytes(len(blob))
+        self._observe_op("save", started, len(blob))
 
     def load(self) -> Optional[Dict[str, Any]]:
-        started = self._op_clock()
+        started = self.telemetry.clock()
         try:
             blob = self.path.read_bytes()
         except FileNotFoundError:
             return None
         document = decode_document(blob, "checkpoint file %s" % self.path)
-        self._observe_op("load", self._op_clock() - started)
+        self._observe_op("load", started)
         return document
 
     def recover(self) -> Optional[Dict[str, Any]]:
         # One document, atomically replaced: there is no older record to
         # fall back to, so recovery is exactly the strict load.
-        started = self._op_clock()
+        started = self.telemetry.clock()
         document = self.load()
-        self._observe_op("recover", self._op_clock() - started)
+        self._observe_op("recover", started)
         return document
 
     # ------------------------------------------------------------- helpers

@@ -72,6 +72,7 @@ class SegmentLogStore(CheckpointStore):
             raise StorageError(
                 "compact_every must be >= 1, got %r" % (compact_every,)
             )
+        super().__init__()
         self.directory = pathlib.Path(directory)
         self.segment_max_bytes = int(segment_max_bytes)
         self.compact_every = int(compact_every)
@@ -114,7 +115,7 @@ class SegmentLogStore(CheckpointStore):
     def save(self, document: Mapping[str, Any]) -> None:
         payload = encode_document(document)
         record = _pack_record(payload)
-        started = self._op_clock()
+        started = self.telemetry.clock()
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             target = self._writable_segment(len(record))
@@ -126,8 +127,7 @@ class SegmentLogStore(CheckpointStore):
             raise StorageError(
                 "segment-log append under %s failed: %s" % (self.directory, exc)
             ) from None
-        self._observe_op("save", self._op_clock() - started)
-        self._observe_bytes(len(record))
+        self._observe_op("save", started, len(record))
         self._saves_since_compaction += 1
         if self._saves_since_compaction >= self.compact_every:
             self.compact()
@@ -192,16 +192,16 @@ class SegmentLogStore(CheckpointStore):
         return newest, saw_corruption
 
     def load(self) -> Optional[Dict[str, Any]]:
-        started = self._op_clock()
+        started = self.telemetry.clock()
         payload, _ = self._newest_payload(strict=True)
         if payload is None:
             return None
         document = decode_document(payload, "segment log %s" % self.directory)
-        self._observe_op("load", self._op_clock() - started)
+        self._observe_op("load", started)
         return document
 
     def recover(self) -> Optional[Dict[str, Any]]:
-        started = self._op_clock()
+        started = self.telemetry.clock()
         payload, saw_corruption = self._newest_payload(strict=False)
         if payload is None:
             if saw_corruption:
@@ -211,7 +211,7 @@ class SegmentLogStore(CheckpointStore):
                 )
             return None
         document = decode_document(payload, "segment log %s" % self.directory)
-        self._observe_op("recover", self._op_clock() - started)
+        self._observe_op("recover", started)
         return document
 
     # ---------------------------------------------------------- compaction

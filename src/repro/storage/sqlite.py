@@ -58,6 +58,7 @@ class SqliteStore(CheckpointStore):
                 "a sqlite store must keep at least one generation, got %r"
                 % (keep,)
             )
+        super().__init__()
         self.path = pathlib.Path(path)
         self.keep = int(keep)
         self._connection: Optional[sqlite3.Connection] = None
@@ -94,7 +95,7 @@ class SqliteStore(CheckpointStore):
     def save(self, document: Mapping[str, Any]) -> None:
         blob = encode_document(document)
         crc = document_crc(blob)
-        started = self._op_clock()
+        started = self.telemetry.clock()
         try:
             connection = self._connect()
             with connection:  # one transaction: insert + prune
@@ -112,8 +113,7 @@ class SqliteStore(CheckpointStore):
             raise StorageError(
                 "sqlite checkpoint save to %s failed: %s" % (self.path, exc)
             ) from None
-        self._observe_op("save", self._op_clock() - started)
-        self._observe_bytes(len(blob))
+        self._observe_op("save", started, len(blob))
 
     def _rows(self):
         if not self.path.exists():
@@ -141,17 +141,17 @@ class SqliteStore(CheckpointStore):
         return decode_document(payload, source)
 
     def load(self) -> Optional[Dict[str, Any]]:
-        started = self._op_clock()
+        started = self.telemetry.clock()
         rows = self._rows()
         if not rows:
             return None
         generation, crc, blob = rows[0]
         document = self._validate(generation, crc, blob)
-        self._observe_op("load", self._op_clock() - started)
+        self._observe_op("load", started)
         return document
 
     def recover(self) -> Optional[Dict[str, Any]]:
-        started = self._op_clock()
+        started = self.telemetry.clock()
         rows = self._rows()
         if not rows:
             return None
@@ -161,7 +161,7 @@ class SqliteStore(CheckpointStore):
             except CheckpointCorruptError:
                 self._observe_corrupt_skip(generation)
                 continue  # step back one generation
-            self._observe_op("recover", self._op_clock() - started)
+            self._observe_op("recover", started)
             return document
         raise CheckpointCorruptError(
             "%s holds %d checkpoint generation(s) but none is readable"

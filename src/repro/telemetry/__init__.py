@@ -39,6 +39,7 @@ from .metrics import (
     MetricFamily,
     MetricsRegistry,
     TimeWeightedGauge,
+    counted,
 )
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
     "MetricFamily",
     "MetricsRegistry",
     "TimeWeightedGauge",
+    "counted",
     "disable_json_logs",
     "emit",
     "enable_json_logs",

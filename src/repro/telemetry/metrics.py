@@ -64,12 +64,12 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 
 def _label_key(label_names: Tuple[str, ...], values: Mapping[str, Any]) -> str:
     """Canonical string key for one child's label values (``a=1,b=x``)."""
-    if set(values) != set(label_names):
+    if values.keys() != set(label_names):
         raise TelemetryError(
             "metric labelled %s got label values for %s"
             % (list(label_names), sorted(values))
         )
-    return ",".join("%s=%s" % (name, values[name]) for name in label_names)
+    return ",".join(["%s=%s" % (name, values[name]) for name in label_names])
 
 
 class _Instrument:
@@ -344,12 +344,15 @@ class MetricFamily:
         return child
 
     def _default_child(self) -> Any:
-        if self.label_names:
+        # An unlabelled family's single child is materialized at
+        # registration under the empty key; a labelled one has none.
+        child = self._children.get("")
+        if child is None:
             raise TelemetryError(
                 "metric %r is labelled by %s; call .labels(...) first"
                 % (self.name, list(self.label_names))
             )
-        return self.labels()
+        return child
 
     # Delegates: the unlabelled family is usable directly.
     def inc(self, amount: float = 1.0) -> None:
@@ -384,6 +387,11 @@ class MetricFamily:
     def count(self) -> int:
         return self._default_child().count
 
+    def total(self) -> float:
+        """Sum of every child's value: a counter's count across all labels."""
+        with self.registry._lock:
+            return sum(child.value for child in self._children.values())
+
     def snapshot(self) -> Dict[str, Any]:
         return {
             "type": self.kind,
@@ -394,6 +402,15 @@ class MetricFamily:
                 for key, child in sorted(self._children.items())
             },
         }
+
+
+def counted(attribute: str) -> property:
+    """A read-only ``int`` view of the counter family at ``attribute``.
+
+    Instrumented components keep each count in their registry only and
+    expose it under its public name through this property.
+    """
+    return property(lambda self: int(getattr(self, attribute).total()))
 
 
 class MetricsRegistry:
@@ -460,7 +477,7 @@ class MetricsRegistry:
                 # Materialize the single child now: an unlabelled metric
                 # reads as an explicit zero in snapshots, not an absence
                 # ("no stalls happened" is a fact worth rendering).
-                family._default_child()
+                family._children[""] = _INSTRUMENTS[kind](family)
             self._families[name] = family
             return family
 
@@ -484,7 +501,7 @@ class MetricsRegistry:
         buckets: Sequence[float] = DEFAULT_BUCKETS,
     ) -> MetricFamily:
         """Register (or fetch) a fixed-bucket histogram family."""
-        bounds = tuple(sorted(float(b) for b in buckets))
+        bounds = tuple(sorted(map(float, buckets)))
         if not bounds:
             raise TelemetryError("a histogram needs at least one bucket bound")
         return self._register(name, "histogram", help, labels, bounds)
@@ -559,4 +576,5 @@ __all__ = [
     "MetricFamily",
     "MetricsRegistry",
     "TimeWeightedGauge",
+    "counted",
 ]

@@ -58,13 +58,15 @@ from ..exceptions import (
     StorageError,
     TransportError,
     WireFormatError,
+    positive_count,
+    positive_seconds,
 )
 from ..storage import (
     CheckpointStore,
     parse_round_checkpoint,
     round_checkpoint_document,
 )
-from ..telemetry import MetricsRegistry, emit
+from ..telemetry import MetricsRegistry, counted, emit
 from ..wire.codec import iter_attribute_blocks
 from ..wire.contract import CollectionContract
 from .framing import (
@@ -73,7 +75,7 @@ from .framing import (
     STATUS_TRANSPORT_ERROR,
     STATUS_WIRE_ERROR,
 )
-from .stream import REPORT_STREAM, Refusal, StreamServer, positive_count
+from .stream import REPORT_STREAM, Refusal, StreamServer
 
 
 class CollectionGateway(StreamServer):
@@ -107,11 +109,9 @@ class CollectionGateway(StreamServer):
         frames are arriving.
     metrics:
         Optional :class:`~repro.telemetry.MetricsRegistry` to instrument
-        against (one is created when omitted, so :meth:`stats_snapshot`
-        and the ``STATS`` socket request always work). The gateway also
-        attaches the registry to its checkpoint store and session
-        shards when they are not already instrumented, so one snapshot
-        covers the whole ingest path.
+        against (one is created when omitted). The gateway's counts are
+        read from it, and it is attached to the checkpoint store and the
+        session shards, so one snapshot covers the whole ingest path.
     """
 
     KIND = REPORT_STREAM
@@ -138,22 +138,15 @@ class CollectionGateway(StreamServer):
             checkpoint_every_frames = positive_count(
                 "checkpoint_every_frames", checkpoint_every_frames, StorageError
             )
-        if checkpoint_every_seconds is not None and float(
-            checkpoint_every_seconds
-        ) <= 0:
-            raise StorageError(
-                "checkpoint_every_seconds must be > 0, got %r"
-                % (checkpoint_every_seconds,)
+        if checkpoint_every_seconds is not None:
+            checkpoint_every_seconds = positive_seconds(
+                "checkpoint_every_seconds", checkpoint_every_seconds, StorageError
             )
         super().__init__(max_frame_bytes, store, metrics)
         self.server = server
         self.queue_depth = depth
         self.checkpoint_every_frames = checkpoint_every_frames
-        self.checkpoint_every_seconds = (
-            None
-            if checkpoint_every_seconds is None
-            else float(checkpoint_every_seconds)
-        )
+        self.checkpoint_every_seconds = checkpoint_every_seconds
         self._queues: List[asyncio.Queue] = []
         self._frame_listeners: List[Any] = []
         self._consumers: List[asyncio.Task] = []
@@ -167,16 +160,9 @@ class CollectionGateway(StreamServer):
         self._intake_lock = asyncio.Lock()
         self._timer: Optional[asyncio.Task] = None
         self._frames_since_checkpoint = 0
-        # Counters: "accepted" means validated + acked + queued; the
-        # batch is folded into a shard by drain time at the latest. The
-        # plain counters stay authoritative (and cheap); the registry
-        # mirrors them with labels/latencies for snapshots and the STATS
-        # request. One registry can be shared across the stack —
-        # instruments are registered idempotently.
-        self.frames_accepted = 0
-        self.users_accepted = 0
-        self.bytes_received = 0
-        self.heartbeats = 0
+        # Counts live in the registry only: "accepted" means validated +
+        # acked + queued; the batch is folded into a shard by drain time
+        # at the latest.
         registry = self.telemetry
         self._m_frames_accepted = registry.counter(
             "gateway_frames_accepted_total",
@@ -221,8 +207,7 @@ class CollectionGateway(StreamServer):
             "gateway_checkpoint_seconds",
             "Drain + snapshot + store.save per round checkpoint",
         )
-        if getattr(server, "telemetry", None) is None:
-            server.attach_telemetry(registry)
+        server.attach_telemetry(registry)
 
     # ------------------------------------------------------------ lifecycle
 
@@ -274,16 +259,14 @@ class CollectionGateway(StreamServer):
                 )
                 self.server.load_state_dict(state)
                 self._acked = dict(progress)
-                self.frames_accepted = frames
-                self.users_accepted = self.server.users
                 self._frames_since_checkpoint = 0
                 self._m_frames_accepted.inc(frames)
-                self._m_users_accepted.inc(self.users_accepted)
+                self._m_users_accepted.inc(self.server.users)
                 emit(
                     self._log,
                     "recovery_replayed",
                     frames=frames,
-                    users=self.users_accepted,
+                    users=self.server.users,
                     senders=len(self._acked),
                 )
         self._queues = [
@@ -519,15 +502,11 @@ class CollectionGateway(StreamServer):
                 self._m_stall_seconds.inc(self._clock() - stall_started)
             self._m_queue_depth.labels(shard=shard_index).set(queue.qsize())
             self._acked[sender_id] = seq
-            self.frames_accepted += 1
             self._frames_since_checkpoint += 1
-            self.users_accepted += users
-            self.bytes_received += len(frame)
             self._m_frames_accepted.inc()
             self._m_users_accepted.inc(users)
             self._m_bytes_received.inc(len(frame))
             if users == 0:
-                self.heartbeats += 1
                 self._m_heartbeats.inc()
             for listener in self._frame_listeners:
                 listener()
@@ -574,18 +553,18 @@ class CollectionGateway(StreamServer):
 
         This is exactly what the ``STATS`` socket request serves (see
         :func:`~repro.transport.request_stats`) and what the CLI's
-        ``--metrics PATH`` writes on exit. ``counters`` are the plain
-        authoritative integers; ``metrics`` is the registry snapshot
-        (histograms, time-weighted gauges, labelled families) and
-        ``rejections_total`` sums frame and handshake rejections so a
-        clean round is a single zero check.
+        ``--metrics PATH`` writes on exit. ``counters`` are integer
+        reads of the registry's counts; ``metrics`` is the registry
+        snapshot (histograms, time-weighted gauges, labelled families)
+        and ``rejections_total`` sums frame and handshake rejections so
+        a clean round is a single zero check.
         """
         counters = {
             "frames_accepted": self.frames_accepted,
-            "frames_rejected": self._rejected,
-            "frames_deduped": self._deduped,
+            "frames_rejected": self.frames_rejected,
+            "frames_deduped": self.frames_deduped,
             "handshakes_rejected": self.handshakes_rejected,
-            "rejections_total": self._rejected + self.handshakes_rejected,
+            "rejections_total": self.frames_rejected + self.handshakes_rejected,
             "users_accepted": self.users_accepted,
             "users_folded": self.server.users,
             "bytes_received": self.bytes_received,
@@ -604,15 +583,18 @@ class CollectionGateway(StreamServer):
         """Users folded into the shards so far (drained frames only)."""
         return self.server.users
 
-    @property
-    def frames_rejected(self) -> int:
-        """Frames refused after the handshake."""
-        return self._rejected
-
-    @property
-    def frames_deduped(self) -> int:
-        """Replayed frames acknowledged without folding."""
-        return self._deduped
+    #: Frames validated, acknowledged and queued (recovered ones included).
+    frames_accepted = counted("_m_frames_accepted")
+    #: Users carried by accepted frames.
+    users_accepted = counted("_m_users_accepted")
+    #: Payload bytes of accepted frames.
+    bytes_received = counted("_m_bytes_received")
+    #: Zero-user liveness frames accepted.
+    heartbeats = counted("_m_heartbeats")
+    #: Frames refused after the handshake.
+    frames_rejected = counted("_m_rejected")
+    #: Replayed frames acknowledged without folding.
+    frames_deduped = counted("_m_deduped")
 
     def merged(self) -> LDPServer:
         """Fold all shard states into one fresh server (after a drain)."""

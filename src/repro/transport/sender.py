@@ -33,7 +33,7 @@ import asyncio
 import logging
 from typing import List, Optional, Sequence, Tuple
 
-from ..exceptions import TransportError
+from ..exceptions import TransportError, positive_count
 from ..session.client import ReportBatch
 from ..telemetry import MetricsRegistry, emit, event_logger
 from ..wire.codec import encode_batch
@@ -42,7 +42,6 @@ from .stream import (
     REPORT_STREAM,
     ContractLike,
     StreamClient,
-    positive_count,
     retry_summary,
 )
 
@@ -81,12 +80,11 @@ class AsyncReportSender(StreamClient):
         self.resume_seq = resume_seq
         self._next_seq = 1
         self.frames_skipped = 0
-        if metrics is not None:
-            self._m_frames_skipped = metrics.counter(
-                "sender_frames_skipped_total",
-                "Frames skipped locally because the gateway already "
-                "holds them durably (resume watermark)",
-            )
+        self._m_frames_skipped = self.telemetry.counter(
+            "sender_frames_skipped_total",
+            "Frames skipped locally because the gateway already "
+            "holds them durably (resume watermark)",
+        )
 
     @property
     def frames_sent(self) -> int:
@@ -110,8 +108,7 @@ class AsyncReportSender(StreamClient):
         self._next_seq += 1
         if seq <= self.resume_seq:
             self.frames_skipped += 1
-            if self.telemetry is not None:
-                self._m_frames_skipped.inc()
+            self._m_frames_skipped.inc()
             return
         await self._exchange(seq, frame)
 
@@ -156,24 +153,23 @@ async def replay_frames(
     frame the gateway refused once will be refused again.
 
     Returns the final (closed) sender, whose counters describe the last
-    successful pass. When every attempt fails, the raised
+    successful pass; its ``telemetry`` is the registry every attempt
+    counted into (``metrics``, or a fresh one). When every attempt
+    fails, the raised
     :class:`~repro.exceptions.TransportError` enumerates each attempt
     number with its error — all *distinct* failures across the round,
     not just the last — so a round that bounced off two different
     problems (say, connection refused, then a restart mid-stream) shows
-    both. Each failed attempt also emits a ``sender_retry`` event and,
-    with ``metrics``, counts into ``sender_retries_total``.
+    both. Each failed attempt also emits a ``sender_retry`` event and
+    counts into ``sender_retries_total``.
     """
     total = positive_count("attempts", attempts, TransportError)
     frames = list(frames)
     failures: List[Tuple[int, BaseException]] = []
-    retries = (
-        None
-        if metrics is None
-        else metrics.counter(
-            "sender_retries_total",
-            "Delivery attempts that failed with a transport error",
-        )
+    metrics = metrics if metrics is not None else MetricsRegistry()
+    retries = metrics.counter(
+        "sender_retries_total",
+        "Delivery attempts that failed with a transport error",
     )
     for attempt in range(1, total + 1):
         if attempt > 1:
@@ -193,8 +189,7 @@ async def replay_frames(
             return sender
         except (TransportError, ConnectionError, OSError) as exc:
             failures.append((attempt, exc))
-            if retries is not None:
-                retries.inc()
+            retries.inc()
             emit(
                 _LOG,
                 "sender_retry",

@@ -31,22 +31,21 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import operator
 import os
 from typing import (
-    Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Type, Union
+    Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 )
 
 from ..exceptions import (
     ContractMismatchError,
     DimensionError,
-    ReproError,
     TransportError,
     WireFormatError,
+    positive_count,
 )
 from ..storage import CheckpointStore
 from ..storage.base import encode_document
-from ..telemetry import MetricsRegistry, emit, event_logger
+from ..telemetry import MetricsRegistry, counted, emit, event_logger
 from ..wire.contract import DIGEST_SIZE, CollectionContract
 from .framing import (
     HELLO,
@@ -132,17 +131,6 @@ class Refusal(NamedTuple):
     message: str = ""
 
 
-def positive_count(name: str, value: Any, error: Type[ReproError]) -> int:
-    """``value`` as an ``int >= 1``, or ``error`` — ``2.5`` is never ``2``."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise error("%s must be an integer, got %r" % (name, value)) from None
-    if count < 1:
-        raise error("%s must be >= 1, got %r" % (name, value))
-    return count
-
-
 def retry_summary(failures: Sequence[Tuple[int, BaseException]]) -> str:
     """Each distinct error with the attempts that hit it, first seen first.
 
@@ -226,10 +214,6 @@ class StreamServer:
         self._progress: Optional[asyncio.Event] = None
         self._stopping = False
         self._fold_error: Optional[Exception] = None
-        self._deduped = 0
-        self._rejected = 0
-        self.handshakes_rejected = 0
-        self.checkpoints_written = 0
         self.telemetry = metrics if metrics is not None else MetricsRegistry()
         self._clock = self.telemetry.clock
         self._log = event_logger(kind.prefix)
@@ -261,8 +245,13 @@ class StreamServer:
             "%s_checkpoint_bytes_total" % kind.prefix,
             "Encoded bytes of persisted checkpoints",
         )
-        if store is not None and getattr(store, "telemetry", None) is None:
+        if store is not None:
             store.attach_telemetry(registry)
+
+    #: Connections refused during the handshake.
+    handshakes_rejected = counted("_m_handshakes_rejected")
+    #: Checkpoints persisted.
+    checkpoints_written = counted("_m_checkpoints")
 
     # ------------------------------------------------------------------ hooks
 
@@ -381,7 +370,6 @@ class StreamServer:
     def _count_checkpoint(self, document: Dict[str, Any]) -> int:
         """Count one saved checkpoint; its encoded size in bytes."""
         nbytes = len(encode_document(document))
-        self.checkpoints_written += 1
         self._m_checkpoints.inc()
         self._m_checkpoint_bytes.inc(nbytes)
         return nbytes
@@ -535,7 +523,6 @@ class StreamServer:
     async def _reject_handshake(
         self, writer: asyncio.StreamWriter, reason: str, status: int, message: str
     ) -> None:
-        self.handshakes_rejected += 1
         self._m_handshakes_rejected.labels(reason=reason).inc()
         emit(
             self._log,
@@ -586,7 +573,6 @@ class StreamServer:
                 )
                 return
             if seq <= self._watermark(stream_id):
-                self._deduped += 1
                 self._m_deduped.inc()
                 emit(
                     self._log,
@@ -608,7 +594,6 @@ class StreamServer:
         self, writer: asyncio.StreamWriter, stream_id: bytes, refusal: Refusal
     ) -> None:
         kind = self.KIND
-        self._rejected += 1
         self._m_rejected.labels(reason=refusal.reason).inc()
         emit(
             self._log,
@@ -646,18 +631,20 @@ class StreamClient:
         self._reader = reader
         self._writer = writer
         self._closed = False
+        # Per-connection counts stay plain ints: the registry may be
+        # shared with earlier connections (retries, reconnects) and sums
+        # them all.
         self._sent = 0
         self.bytes_sent = 0
-        self.telemetry = metrics
-        if metrics is not None:
-            self._m_sent = metrics.counter(
-                "%s_%s_sent_total" % (kind.client, kind.units),
-                "%s acknowledged by the %s" % (kind.units.title(), kind.server),
-            )
-            self._m_bytes_sent = metrics.counter(
-                "%s_bytes_sent_total" % kind.client,
-                "Payload bytes of acknowledged %s" % kind.units,
-            )
+        self.telemetry = metrics if metrics is not None else MetricsRegistry()
+        self._m_sent = self.telemetry.counter(
+            "%s_%s_sent_total" % (kind.client, kind.units),
+            "%s acknowledged by the %s" % (kind.units.title(), kind.server),
+        )
+        self._m_bytes_sent = self.telemetry.counter(
+            "%s_bytes_sent_total" % kind.client,
+            "Payload bytes of acknowledged %s" % kind.units,
+        )
 
     @classmethod
     async def connect(
@@ -686,11 +673,11 @@ class StreamClient:
         reader, writer, resume, _ = await _hello(
             host, port, ssl, kind.magic, stream_id, kind.server, agreed, kind.client
         )
-        if metrics is not None:
-            metrics.counter(
-                "%s_connects_total" % kind.client,
-                "Successful handshaken connections to a %s" % kind.server,
-            ).inc()
+        client = cls(agreed, reader, writer, stream_id, resume, metrics)
+        client.telemetry.counter(
+            "%s_connects_total" % kind.client,
+            "Successful handshaken connections to a %s" % kind.server,
+        ).inc()
         emit(
             event_logger(kind.client),
             "%s_connected" % kind.client,
@@ -699,7 +686,7 @@ class StreamClient:
             port=port,
             **{"resume_%s" % kind.seq: resume},
         )
-        return cls(agreed, reader, writer, stream_id, resume, metrics)
+        return client
 
     def _require_open(self) -> None:
         if self._closed:
@@ -730,9 +717,8 @@ class StreamClient:
             raise
         self._sent += 1
         self.bytes_sent += len(payload)
-        if self.telemetry is not None:
-            self._m_sent.inc()
-            self._m_bytes_sent.inc(len(payload))
+        self._m_sent.inc()
+        self._m_bytes_sent.inc(len(payload))
 
     async def close(self) -> None:
         """End the stream (EOF) and release the connection."""

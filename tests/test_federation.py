@@ -646,6 +646,65 @@ class TestFederationHandshake:
         (record,) = snapshot["edges"].values()
         assert record["users"] == 120
 
+    def test_snapshot_counters_are_registry_reads(self, tmp_path):
+        """After a socket round, every count in the gateway, edge and
+        root snapshots equals its registry family's value, as an int."""
+
+        async def scenario():
+            root = await _root(store=JsonFileStore(tmp_path / "root.json"))
+            edge = await _edge(
+                root.port,
+                edge_id=_edge_id(6),
+                push_every_frames=1,
+                store=JsonFileStore(tmp_path / "edge.json"),
+                checkpoint_every_frames=1,
+            )
+            sender = await AsyncReportSender.connect(
+                "127.0.0.1", edge.port, root.contract, _sender_id(2)
+            )
+            async with sender:
+                for frame in _frames(seed=41):
+                    await sender.send_encoded(frame)
+                await sender.heartbeat()
+            rogue = LDPClient(SCHEMA, epsilon=9.0, protocols=SPEC)
+            with pytest.raises(ContractMismatchError):
+                await AsyncReportSender.connect("127.0.0.1", edge.port, rogue)
+            await edge.stop()
+            await root.stop()
+            return edge.stats_snapshot(), root.stats_snapshot()
+
+        edge, root = asyncio.run(scenario())
+        checks = (
+            (edge, "counters", "gateway", (
+                "frames_accepted", "frames_rejected", "frames_deduped",
+                "handshakes_rejected", "users_accepted", "bytes_received",
+                "heartbeats", "checkpoints_written",
+            )),
+            (edge, "federation", "edge", (
+                "pushes_completed", "delta_pushes", "push_retries",
+            )),
+            (root, "counters", "root", (
+                "pushes_accepted", "pushes_deduped", "deltas_applied",
+                "pushes_rejected", "handshakes_rejected", "bytes_received",
+                "checkpoints_written",
+            )),
+        )
+        renamed = {("root", "bytes_received"): "push_bytes_received"}
+        for snapshot, section, prefix, counters in checks:
+            for counter in counters:
+                family = renamed.get((prefix, counter), counter)
+                values = snapshot["metrics"]["%s_%s_total" % (prefix, family)]
+                value = snapshot[section][counter]
+                assert type(value) is int, (section, counter)
+                assert value == sum(values["values"].values()), (section, counter)
+        # the round moved every kind of count the check reads
+        assert edge["counters"]["frames_accepted"] == 4
+        assert edge["counters"]["heartbeats"] == 1
+        assert edge["counters"]["handshakes_rejected"] == 1
+        assert edge["counters"]["checkpoints_written"] >= 4
+        assert root["counters"]["deltas_applied"] >= 1
+        assert root["counters"]["checkpoints_written"] >= 2
+
 
 class TestCrashRecovery:
     def test_root_restart_resumes_the_round(self, tmp_path):
@@ -909,7 +968,13 @@ class TestEdgeAggregatorBehaviour:
             dict(push_attempts=0),
             # no silent int(): 2.5 frames is not 2 frames
             dict(push_every_frames=2.5),
+            dict(push_every_frames="x"),
             dict(push_attempts=1.7),
+            # nan and inf are no period; a string is typed, not a bare
+            # ValueError
+            dict(push_every_seconds=float("nan")),
+            dict(push_every_seconds=float("inf")),
+            dict(push_every_seconds="abc"),
         ):
             with pytest.raises(TransportError):
                 EdgeAggregator(SCHEMA, EPSILON, protocols=SPEC, **kwargs)

@@ -373,7 +373,7 @@ class TestDurability:
         assert progress[SENDER_ONE] == len(frames)
         assert total == len(frames)
 
-    def test_triggers_require_a_store(self):
+    def test_triggers_require_a_store(self, tmp_path):
         server = ShardedServer(SCHEMA, EPSILON, protocols=SPEC, shards=2)
         with pytest.raises(StorageError, match="store"):
             CollectionGateway(server, checkpoint_every_frames=1)
@@ -381,6 +381,17 @@ class TestDurability:
             CollectionGateway(
                 server, store=None, checkpoint_every_seconds=1.0
             )
+        store = JsonFileStore(tmp_path / "round.json")
+        for frames in (0, 2.5, "x"):
+            with pytest.raises(StorageError):
+                CollectionGateway(
+                    server, store=store, checkpoint_every_frames=frames
+                )
+        for seconds in (0.0, float("nan"), float("inf"), "abc"):
+            with pytest.raises(StorageError):
+                CollectionGateway(
+                    server, store=store, checkpoint_every_seconds=seconds
+                )
 
 
 class TestCheckpointTimerEdges:

@@ -331,10 +331,13 @@ class TestAutoCheckpointer:
         store = JsonFileStore(tmp_path / "a.json")
         with pytest.raises(StorageError, match="trigger"):
             AutoCheckpointer(server, store)
-        with pytest.raises(StorageError):
-            AutoCheckpointer(server, store, every_frames=0)
-        with pytest.raises(StorageError):
-            AutoCheckpointer(server, store, every_seconds=0.0)
+        # no silent int(): 2.5 frames is not 2; nan and inf are no period
+        for frames in (0, 2.5, "x"):
+            with pytest.raises(StorageError):
+                AutoCheckpointer(server, store, every_frames=frames)
+        for seconds in (0.0, float("nan"), float("inf"), "abc"):
+            with pytest.raises(StorageError):
+                AutoCheckpointer(server, store, every_seconds=seconds)
 
     def test_frame_trigger_checkpoints_every_n(self, tmp_path):
         server = LDPServer(SCHEMA, EPSILON, protocols=SPEC)

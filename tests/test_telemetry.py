@@ -634,10 +634,13 @@ class TestStorageTelemetry:
         assert skips["backend=segments"] == 1.0
 
     def test_uninstrumented_store_works_untouched(self, tmp_path):
+        """A store nobody instruments owns a registry and still works."""
         with JsonFileStore(tmp_path / "t.json") as store:
-            assert store.telemetry is None
+            assert isinstance(store.telemetry, MetricsRegistry)
             store.save(self._document())
             assert store.recover() is not None
+        shot = store.telemetry.snapshot()
+        assert shot["storage_save_seconds"]["values"]["backend=file"]["count"] == 1
 
     def test_corruption_beyond_recovery_still_raises(self, tmp_path):
         path = tmp_path / "t.json"
