@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import DistributionError
+from ..tolerance import isclose
 
 #: Default number of bins when discretizing a continuous column.
 DEFAULT_BINS = 64
@@ -53,7 +54,7 @@ class ValueDistribution:
         if np.any(probs < 0.0):
             raise DistributionError("probabilities must be non-negative")
         total = float(probs.sum())
-        if not np.isclose(total, 1.0, atol=1e-8):
+        if not isclose(total, 1.0, atol=1e-8):
             raise DistributionError("probabilities must sum to 1, got %g" % total)
         order = np.argsort(values)
         object.__setattr__(self, "values", values[order])

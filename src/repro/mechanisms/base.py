@@ -35,9 +35,16 @@ import numpy as np
 
 from ..exceptions import DomainError, PrivacyBudgetError
 from ..rng import RngLike, ensure_rng
+from ..tolerance import isclose
 
 #: Input domain used by every mechanism unless documented otherwise.
 STANDARD_DOMAIN: Tuple[float, float] = (-1.0, 1.0)
+
+#: Entries per block when a whole record matrix is validated, perturbed
+#: or binned a piece at a time: one ``perturb`` call over millions of
+#: entries is slower than over 64K-entry blocks, whose temporaries stay
+#: in cache.
+BLOCK_ENTRIES = 1 << 16
 
 
 def validate_epsilon(epsilon: float) -> float:
@@ -141,9 +148,9 @@ class Mechanism(abc.ABC):
         """
         lo, hi = self.input_domain
         probes = np.array([lo, 0.5 * (lo + hi), hi])
-        biases = self.conditional_bias(probes, epsilon)
-        if np.allclose(biases, biases[0], atol=1e-12):
-            return float(biases[0])
+        first, middle, last = self.conditional_bias(probes, epsilon).tolist()
+        if isclose(middle, first, atol=1e-12) and isclose(last, first, atol=1e-12):
+            return first
         return None
 
     def conditional_second_moment(

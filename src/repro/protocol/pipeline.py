@@ -31,7 +31,7 @@ than ``m`` dimensions and overspend ``ε``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from ..framework.multivariate import (
 from ..framework.population import DEFAULT_BINS, ValueDistribution
 from ..hdr4me.frequency import FrequencyEstimate
 from ..hdr4me.recalibrator import RecalibrationResult, Recalibrator
-from ..mechanisms.base import Mechanism, validate_values
+from ..mechanisms.base import BLOCK_ENTRIES, Mechanism
 from ..rng import RngLike, ensure_rng
 from .budget import BudgetPlan
 from .server import AggregationResult
@@ -82,12 +82,83 @@ def build_populations(
     """Discretize each column of ``data`` into a :class:`ValueDistribution`.
 
     This is the paper's "we discretize them with sampling" step that makes
-    Lemma 3 applicable to continuous data.
+    Lemma 3 applicable to continuous data. Every column is binned in one
+    pass over the matrix, equal bit for bit to
+    :meth:`ValueDistribution.from_data` on each column: the same edges
+    (``np.linspace`` between the column's extremes, a constant column
+    widened by ±0.5) and ``np.histogram``'s index-and-edge correction.
+    Inputs that ``from_data`` rejects or treats specially (``bins=None``,
+    ``bins < 1``, no rows, non-finite values, ranges too narrow for the
+    bins) go column by column through ``from_data`` itself.
     """
     matrix = np.asarray(data, dtype=np.float64)
     if matrix.ndim != 2:
         raise DimensionError("data must be an (n, d) matrix")
-    return [ValueDistribution.from_data(matrix[:, j], bins) for j in range(matrix.shape[1])]
+    histogram = None
+    if bins is not None and bins >= 1 and matrix.size:
+        histogram = _histograms(matrix, int(bins))
+    if histogram is None:
+        return [
+            ValueDistribution.from_data(matrix[:, j], bins)
+            for j in range(matrix.shape[1])
+        ]
+    counts, edges = histogram
+    mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    users = matrix.shape[0]
+    populations = []
+    for column_counts, column_mids in zip(counts, mids):
+        keep = column_counts > 0
+        populations.append(
+            ValueDistribution(column_mids[keep], column_counts[keep] / users)
+        )
+    return populations
+
+
+def _histograms(
+    matrix: np.ndarray, bins: int
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Per-column ``np.histogram(column, bins)`` of a finite matrix, at once.
+
+    Returns ``(counts, edges)`` of shapes ``(d, bins)`` and
+    ``(d, bins + 1)``, or ``None`` when some column is not finite or
+    its range overflows or is too narrow for ``bins`` finite-width bins
+    (the cases ``np.histogram`` handles on its own paths).
+    """
+    users, dimensions = matrix.shape
+    low, high = matrix.min(axis=0), matrix.max(axis=0)
+    if not (np.isfinite(low).all() and np.isfinite(high).all()):
+        return None
+    constant = low == high
+    low = np.where(constant, low - 0.5, low)
+    high = np.where(constant, high + 0.5, high)
+    width = high - low
+    if not np.isfinite(width).all() or np.any(width / bins == 0.0):
+        return None  # an overflowing range, or linspace's denormal-step path
+    edges = np.linspace(low, high, bins + 1, axis=1)
+    if np.any(edges[:, :-1] >= edges[:, 1:]):
+        return None
+    # Work on flat indices into the (d, bins + 1) edges: a value of
+    # column j in bin i sits at j * (bins + 1) + i. ``upper[k]`` is the
+    # right edge of the bin at k, except that the last bin of a column
+    # gets +inf: it keeps its right edge.
+    lower = edges.ravel()
+    upper = np.append(lower[1:], np.inf)
+    upper[bins - 1 :: bins + 1] = np.inf
+    offsets = np.arange(dimensions, dtype=np.intp) * (bins + 1)
+    counts = np.zeros(dimensions * (bins + 1), dtype=np.intp)
+    step = max(1, BLOCK_ENTRIES // dimensions)
+    for start in range(0, users, step):
+        block = matrix[start : start + step]
+        index = ((block - low) / width * bins).astype(np.intp)
+        np.minimum(index, bins - 1, out=index)
+        index += offsets
+        # The same ±1 corrections np.histogram applies within an ulp of
+        # an edge.
+        index -= block < lower[index]
+        index += block >= upper[index]
+        counts += np.bincount(index.ravel(), minlength=counts.size)
+    counts = counts.reshape(dimensions, bins + 1)[:, :bins]
+    return counts, edges
 
 
 class MeanEstimationPipeline:
@@ -174,7 +245,9 @@ class MeanEstimationPipeline:
             Seed or generator for sampling and perturbation.
         """
         gen = ensure_rng(rng)
-        matrix = validate_values(data, self.mechanism.input_domain)
+        # Domain and finiteness are checked chunk by chunk, once, by the
+        # client's ``Schema.validate_matrix``.
+        matrix = np.asarray(data, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] != self.plan.dimensions:
             raise DimensionError(
                 "expected (n, %d) data, got %s"

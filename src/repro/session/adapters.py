@@ -34,7 +34,7 @@ done by :class:`repro.session.LDPClient`.
 from __future__ import annotations
 
 import abc
-from typing import Any, List, Optional, Sequence
+from typing import Any, Hashable, List, Optional, Sequence
 
 import numpy as np
 
@@ -56,6 +56,10 @@ from ..mechanisms.base import (
 from ..rng import RngLike, ensure_rng
 from .schema import Attribute, CategoricalAttribute, NumericAttribute
 from .streaming import StreamingSum
+
+#: Marks a lazily computed attribute that has not been computed yet.
+_UNSET = object()
+
 
 def _require_snapshot_kind(snapshot: Any, kind: str) -> dict:
     """Validate a state snapshot's family tag; return the snapshot dict."""
@@ -100,7 +104,23 @@ class AttributeCollector(abc.ABC):
 
     @abc.abstractmethod
     def privatize(self, values: np.ndarray, rng: RngLike = None) -> Any:
-        """Perturb the contributing users' values into a report payload."""
+        """Perturb the contributing users' values into a report payload.
+
+        ``values`` must already be validated against the attribute (as
+        :meth:`repro.session.Schema.validate_matrix` does for the
+        client): numeric values clipped into the domain, categorical
+        labels exact integers. Collectors do not validate them again.
+        """
+
+    def block_key(self) -> Optional[Hashable]:
+        """Key under which attributes may be privatized in one call.
+
+        Collectors with equal non-``None`` keys perturb identically, so
+        the client may concatenate their values, privatize them with any
+        one of them and slice the payload back per attribute. ``None``
+        (the default) keeps the attribute on its own.
+        """
+        return None
 
     # -------------------------------------------------------------- server
 
@@ -269,11 +289,29 @@ class NumericMechanismCollector(SumStateMixin, AttributeCollector):
         if tuple(mechanism.input_domain) != tuple(attribute.domain):
             mechanism = AffineTransformedMechanism(mechanism, attribute.domain)
         self.mechanism = mechanism
+        # Probed on the first estimate, not here: every pipeline round
+        # binds a fresh collector per attribute.
+        self._bias: Any = _UNSET
 
     def privatize(self, values: np.ndarray, rng: RngLike = None) -> np.ndarray:
-        gen = ensure_rng(rng)
-        column = self.attribute.validate_column(values)
-        return self.mechanism.perturb(column, self.epsilon, gen)
+        return self.mechanism.perturb(values, self.epsilon, ensure_rng(rng))
+
+    def block_key(self) -> Optional[Hashable]:
+        """Mechanism class and parameters, domain and budget.
+
+        Mechanisms are compared by value, not identity, so attributes
+        bound to separate but equal instances still share a block.
+        ``None`` for re-domained mechanisms and unhashable parameters.
+        """
+        if isinstance(self.mechanism, AffineTransformedMechanism):
+            return None
+        params = tuple(sorted(vars(self.mechanism).items()))
+        key = (type(self.mechanism), params, self.attribute.domain, self.epsilon)
+        try:
+            hash(key)
+        except TypeError:
+            return None
+        return key
 
     def new_state(self) -> _NumericState:
         return _NumericState()
@@ -301,7 +339,9 @@ class NumericMechanismCollector(SumStateMixin, AttributeCollector):
     def estimate(self, state: _NumericState) -> np.ndarray:
         count = self._require_reports(state)
         mean = state.sums.value()[0] / count
-        bias = self.mechanism.deterministic_bias(self.epsilon)
+        if self._bias is _UNSET:
+            self._bias = self.mechanism.deterministic_bias(self.epsilon)
+        bias = self._bias
         if bias:
             mean = mean - bias
         return np.array([mean])
@@ -351,10 +391,11 @@ class HistogramMechanismCollector(SumStateMixin, AttributeCollector):
         self.epsilon_per_entry = self.epsilon / 2.0
 
     def privatize(self, values: np.ndarray, rng: RngLike = None) -> np.ndarray:
-        gen = ensure_rng(rng)
-        labels = self.attribute.validate_column(values)
+        labels = np.asarray(values).astype(np.int64)
         encoded = one_hot_encode(labels, self.attribute.n_categories)
-        return self.mechanism.perturb(encoded, self.epsilon_per_entry, gen)
+        return self.mechanism.perturb(
+            encoded, self.epsilon_per_entry, ensure_rng(rng)
+        )
 
     def new_state(self) -> _HistogramState:
         return _HistogramState(self.attribute.n_categories)
@@ -477,8 +518,7 @@ class OracleCollector(AttributeCollector):
         self.oracle = self.oracle_cls(self.epsilon, attribute.n_categories)
 
     def privatize(self, values: np.ndarray, rng: RngLike = None) -> Any:
-        labels = self.attribute.validate_column(values)
-        return self.oracle.privatize(labels, rng)
+        return self.oracle.privatize(values, rng)
 
     def new_state(self) -> _OracleState:
         return _OracleState(self.attribute.n_categories)

@@ -15,11 +15,12 @@ processes an ``(n, d)`` record matrix in one go, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..exceptions import DimensionError
+from ..mechanisms.base import BLOCK_ENTRIES
 from ..protocol.budget import BudgetPlan
 from ..rng import RngLike, ensure_rng
 from ..wire.codec import encode_batch
@@ -72,9 +73,15 @@ def resolve_collectors(
             % (plan.dimensions, schema.dimensions)
         )
 
+    resolved: Dict[str, CollectionProtocol] = {}
+
     def _as_protocol(spec: Union[str, CollectionProtocol]) -> CollectionProtocol:
+        # One protocol per distinct name: its stateless mechanism serves
+        # every attribute that names it.
         if isinstance(spec, str):
-            return get_protocol(spec)
+            if spec not in resolved:
+                resolved[spec] = get_protocol(spec)
+            return resolved[spec]
         return spec
 
     per_attribute: Dict[str, Union[str, CollectionProtocol]] = {}
@@ -214,29 +221,77 @@ class LDPClient:
         self.contract = CollectionContract.for_session(
             schema, self.plan, self.collectors
         )
+        self._ordered = list(self.collectors.values())
+        self._blocks, self._singles = self._plan_blocks()
+
+    def _plan_blocks(self) -> Tuple[List[Tuple[AttributeCollector, np.ndarray]], List[int]]:
+        """Group attributes whose collectors share a block key.
+
+        Returns the groups of two or more columns (each with the
+        collector that privatizes it) and the columns left on their own.
+        """
+        columns: Dict[Any, List[int]] = {}
+        singles: List[int] = []
+        for j, collector in enumerate(self._ordered):
+            key = collector.block_key()
+            if key is None:
+                singles.append(j)
+            else:
+                columns.setdefault(key, []).append(j)
+        blocks = []
+        for group in columns.values():
+            if len(group) == 1:
+                singles.extend(group)
+            else:
+                blocks.append((self._ordered[group[0]], np.array(group, dtype=np.intp)))
+        return blocks, sorted(singles)
 
     def report_batch(self, records: np.ndarray, rng: RngLike = None) -> ReportBatch:
-        """Sample, perturb and package an ``(n, d)`` batch of records."""
+        """Sample, perturb and package an ``(n, d)`` batch of records.
+
+        Attributes sharing a block key are privatized together: their
+        contributing entries are taken in blocks of about
+        :data:`~repro.mechanisms.base.BLOCK_ENTRIES`, each block is
+        perturbed in one call, and the result is sliced back per
+        attribute. The other attributes are privatized one by one.
+        """
         gen = ensure_rng(rng)
         matrix = self.schema.validate_matrix(records)
-        users = matrix.shape[0]
-        mask = sample_attribute_mask(
-            users, self.plan.dimensions, self.plan.sampled_dimensions, gen
+        users, dimensions = matrix.shape
+        sampled = self.plan.sampled_dimensions
+        mask = sample_attribute_mask(users, dimensions, sampled, gen)
+        every = sampled == dimensions
+        counts_by_column = (
+            np.full(dimensions, users) if every else mask.sum(axis=0)
         )
+        parts: List[Any] = [None] * dimensions
+        columns_major, mask_major = matrix.T, mask.T
+        per_block = max(1, BLOCK_ENTRIES * dimensions // max(1, users * sampled))
+        for collector, group in self._blocks:
+            for start in range(0, group.size, per_block):
+                block = group[start : start + per_block]
+                values = columns_major[block]
+                values = values.ravel() if every else values[mask_major[block]]
+                if not values.size:
+                    continue
+                perturbed = collector.privatize(values, gen)
+                ends = np.cumsum(counts_by_column[block]).tolist()
+                begin = 0
+                for j, end in zip(block.tolist(), ends):
+                    parts[j] = perturbed[begin:end]
+                    begin = end
+        for j in self._singles:
+            column = columns_major[j] if every else columns_major[j][mask_major[j]]
+            if column.size:
+                parts[j] = self._ordered[j].privatize(column, gen)
         payloads: Dict[str, Any] = {}
         counts: Dict[str, int] = {}
         protocols: Dict[str, str] = {}
-        for j, attr in enumerate(self.schema):
-            contributors = mask[:, j]
-            count = int(contributors.sum())
-            if count == 0:
-                continue
-            collector = self.collectors[attr.name]
-            payloads[attr.name] = collector.privatize(
-                matrix[contributors, j], gen
-            )
-            counts[attr.name] = count
-            protocols[attr.name] = collector.protocol_name
+        for j in np.flatnonzero(counts_by_column).tolist():
+            name = self.schema.attributes[j].name
+            payloads[name] = parts[j]
+            counts[name] = int(counts_by_column[j])
+            protocols[name] = self._ordered[j].protocol_name
         return ReportBatch(
             users=users, payloads=payloads, counts=counts, protocols=protocols
         )

@@ -24,7 +24,11 @@ from typing import Iterator, List, Sequence, Tuple, Union
 import numpy as np
 
 from ..exceptions import DimensionError, DomainError
-from ..mechanisms.base import STANDARD_DOMAIN
+from ..mechanisms.base import BLOCK_ENTRIES, STANDARD_DOMAIN
+
+#: Round-off slack allowed outside a numeric domain before values are
+#: rejected (they are clipped back into it).
+DOMAIN_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,9 @@ class NumericAttribute:
             )
         object.__setattr__(self, "domain", (lo, hi))
 
-    def validate_column(self, column: np.ndarray, atol: float = 1e-9) -> np.ndarray:
+    def validate_column(
+        self, column: np.ndarray, atol: float = DOMAIN_ATOL
+    ) -> np.ndarray:
         """Validate one data column against the domain; return float64."""
         arr = np.asarray(column, dtype=np.float64)
         if arr.size and not np.all(np.isfinite(arr)):
@@ -152,6 +158,18 @@ class Schema:
                     "unsupported attribute type: %r" % (attr,)
                 )
         object.__setattr__(self, "attributes", attrs)
+        numeric = [j for j, a in enumerate(attrs) if a.kind == "numeric"]
+        domains = np.array(
+            [attrs[j].domain for j in numeric], dtype=np.float64
+        ).reshape(-1, 2)
+        object.__setattr__(self, "_numeric_columns", np.array(numeric, dtype=np.intp))
+        object.__setattr__(self, "_numeric_lo", domains[:, 0].copy())
+        object.__setattr__(self, "_numeric_hi", domains[:, 1].copy())
+        object.__setattr__(
+            self,
+            "_categorical_columns",
+            tuple(j for j, a in enumerate(attrs) if a.kind == "categorical"),
+        )
 
     # ------------------------------------------------------------- structure
 
@@ -168,12 +186,12 @@ class Schema:
     @property
     def numeric_indices(self) -> List[int]:
         """Column indices of the numeric attributes."""
-        return [j for j, a in enumerate(self.attributes) if a.kind == "numeric"]
+        return self._numeric_columns.tolist()
 
     @property
     def categorical_indices(self) -> List[int]:
         """Column indices of the categorical attributes."""
-        return [j for j, a in enumerate(self.attributes) if a.kind == "categorical"]
+        return list(self._categorical_columns)
 
     def __len__(self) -> int:
         return len(self.attributes)
@@ -196,10 +214,20 @@ class Schema:
     # ------------------------------------------------------------ validation
 
     def validate_matrix(self, records: np.ndarray) -> np.ndarray:
-        """Validate an ``(n, d)`` record matrix column-by-column.
+        """Validate an ``(n, d)`` record matrix, each column exactly once.
 
         Returns a float64 copy whose numeric columns are clipped to their
         domains and whose categorical columns hold exact integer labels.
+        The copy is column-major, so each attribute's column (and each run
+        of adjacent columns) is contiguous for the client.
+
+        The numeric columns are checked together, in row blocks of about
+        :data:`~repro.mechanisms.base.BLOCK_ENTRIES` entries: per-column minima and maxima
+        against the domain bounds (a NaN or infinity fails them too) and
+        one broadcast clip. A failing column is re-checked through its
+        attribute's ``validate_column``, so the :class:`DomainError`
+        names the first bad column in schema order, exactly as a
+        column-by-column pass would.
         """
         matrix = np.asarray(records, dtype=np.float64)
         if matrix.ndim == 1 and self.dimensions == 1:
@@ -209,10 +237,38 @@ class Schema:
                 "expected (n, %d) records for schema [%s], got %s"
                 % (self.dimensions, ", ".join(self.names), np.shape(records))
             )
-        out = np.empty_like(matrix)
-        for j, attr in enumerate(self.attributes):
-            out[:, j] = attr.validate_column(matrix[:, j])
+        out = np.empty(matrix.shape, dtype=np.float64, order="F")
+        failed = self._numeric_columns[self._validate_numeric(matrix, out)]
+        for j in sorted(self._categorical_columns + tuple(failed.tolist())):
+            out[:, j] = self.attributes[j].validate_column(matrix[:, j])
         return out
+
+    def _validate_numeric(self, matrix: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Check and clip every numeric column into ``out``; flag failures.
+
+        Returns a boolean vector over the numeric columns, True for those
+        whose values leave the domain or are not finite (NaN propagates
+        through the minima and maxima; an infinity exceeds the bounds).
+        """
+        columns = self._numeric_columns
+        lo, hi = self._numeric_lo, self._numeric_hi
+        users = matrix.shape[0]
+        if columns.size == 0 or users == 0:
+            return np.zeros(columns.size, dtype=bool)
+        every = columns.size == self.dimensions
+        step = max(1, BLOCK_ENTRIES // columns.size)
+        mins = np.full(columns.size, np.inf)
+        maxs = np.full(columns.size, -np.inf)
+        for start in range(0, users, step):
+            rows = slice(start, start + step)
+            block = matrix[rows] if every else matrix[rows][:, columns]
+            np.minimum(mins, block.min(axis=0), out=mins)
+            np.maximum(maxs, block.max(axis=0), out=maxs)
+            if every:
+                np.clip(block, lo, hi, out=out[rows])
+            else:
+                out[rows, columns] = np.clip(block, lo, hi)
+        return ~((mins >= lo - DOMAIN_ATOL) & (maxs <= hi + DOMAIN_ATOL))
 
     def validate_record(self, record: np.ndarray) -> np.ndarray:
         """Validate a single ``d``-dimensional record (1-D)."""

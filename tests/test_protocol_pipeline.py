@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.analysis import mse, true_mean
-from repro.exceptions import DimensionError, DistributionError
+from hypothesis import given, settings, strategies as st
+
+from repro.exceptions import DimensionError, DistributionError, DomainError
 from repro.framework import ValueDistribution
 from repro.hdr4me import Recalibrator
 from repro.mechanisms import LaplaceMechanism, PiecewiseMechanism, get_mechanism
@@ -60,6 +62,24 @@ class TestMeanPipeline:
         pipeline = MeanEstimationPipeline(LaplaceMechanism(), 1.0, dimensions=4)
         with pytest.raises(DimensionError):
             pipeline.run(rng.uniform(-1, 1, size=(10, 5)), rng)
+
+    @pytest.mark.parametrize("bad", [1.5, -2.0, np.nan, np.inf])
+    def test_run_rejects_data_outside_the_domain(self, rng, bad):
+        # The domain check lives in the client's schema validation, once
+        # per chunk; run() itself only checks the shape.
+        data = rng.uniform(-1, 1, size=(50, 4))
+        data[37, 2] = bad
+        pipeline = MeanEstimationPipeline(
+            LaplaceMechanism(), 1.0, dimensions=4, chunk_size=16
+        )
+        with pytest.raises(DomainError, match="attribute 'x2'"):
+            pipeline.run(data, rng)
+
+    def test_run_accepts_round_off_outside_the_domain(self, rng):
+        data = rng.uniform(-1, 1, size=(20, 3))
+        data[0, 0] = 1.0 + 1e-10
+        pipeline = MeanEstimationPipeline(LaplaceMechanism(), 1.0, dimensions=3)
+        assert pipeline.run(data, rng).users == 20
 
     def test_invalid_chunk_size(self):
         with pytest.raises(DimensionError):
@@ -210,3 +230,101 @@ class TestFrequencyPipeline:
 
         mask = sample_attribute_mask(1000, 7, 3, rng)
         assert mask.sum(axis=1).max() == 3
+
+
+# ----------------------------------------------------------- populations
+
+
+def _outcome(build):
+    """A result, or the type and message of the error it raised."""
+    try:
+        return build()
+    except (DistributionError, ValueError) as exc:
+        return (type(exc), str(exc))
+
+
+def _per_column(data, bins):
+    return [ValueDistribution.from_data(data[:, j], bins) for j in range(data.shape[1])]
+
+
+def _assert_same(data, bins):
+    got = _outcome(lambda: build_populations(data, bins))
+    want = _outcome(lambda: _per_column(data, bins))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for new, old in zip(got, want):
+        assert new.values.tobytes() == old.values.tobytes()
+        assert new.probabilities.tobytes() == old.probabilities.tobytes()
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _columns(draw):
+    rows = draw(st.integers(1, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["any", "constant", "few", "tiny"]))
+        if kind == "constant":
+            column = [draw(_finite)] * rows
+        elif kind == "few":
+            pool = draw(st.lists(_finite, min_size=1, max_size=3))
+            column = [draw(st.sampled_from(pool)) for _ in range(rows)]
+        elif kind == "tiny":  # ranges near the denormal and ulp limits
+            base = draw(_finite)
+            column = [
+                base + draw(st.sampled_from([0.0, 5e-324, 1e-300, 1e-12]))
+                for _ in range(rows)
+            ]
+        else:
+            column = draw(st.lists(_finite, min_size=rows, max_size=rows))
+        columns.append(column)
+    return np.array(columns, dtype=np.float64).T
+
+
+@given(data=_columns(), bins=st.one_of(st.none(), st.integers(1, 70)))
+@settings(max_examples=200, deadline=None)
+def test_build_populations_matches_from_data_bit_for_bit(data, bins):
+    _assert_same(data, bins)
+
+
+@given(
+    data=_columns(),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    where=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+    bins=st.one_of(st.none(), st.integers(1, 40)),
+)
+@settings(max_examples=50, deadline=None)
+def test_build_populations_non_finite_raises_like_from_data(data, bad, where, bins):
+    data = data.copy()
+    data[where[0] % data.shape[0], where[1] % data.shape[1]] = bad
+    with pytest.raises(DistributionError, match="NaN or infinite"):
+        build_populations(data, bins)
+    _assert_same(data, bins)
+
+
+@pytest.mark.parametrize("bins", [0, -3])
+def test_build_populations_rejects_bins_below_one(bins):
+    with pytest.raises(DistributionError, match="bins must be >= 1"):
+        build_populations(np.zeros((4, 2)), bins)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        np.full((1, 3), 0.25),  # a single row
+        np.array([[1.0, -2.0], [1.0, 3.0], [1.0, 3.0]]),  # a constant column
+        np.linspace(-1, 1, 3000).reshape(-1, 3),
+    ],
+)
+@pytest.mark.parametrize("bins", [None, 1, 2, 64])
+def test_build_populations_edge_shapes(data, bins):
+    _assert_same(data, bins)
+
+
+def test_build_populations_fig4_shape():
+    data = np.random.default_rng(0).uniform(-1, 1, size=(5000, 60))
+    _assert_same(data, 32)
