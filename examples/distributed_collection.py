@@ -23,6 +23,9 @@ fallback when the platform restricts subprocesses.
 Run:  python examples/distributed_collection.py
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from repro import (
@@ -97,11 +100,12 @@ def main() -> None:
     )
     for frame in frames[: GATEWAYS // 2]:
         collector.ingest_encoded(frame)
-    collector.save_state("distributed_collection.checkpoint.json")
-
-    resumed = ShardedServer(
-        SCHEMA, EPSILON, protocols=PROTOCOLS, shards=SHARDS
-    ).load_state("distributed_collection.checkpoint.json")
+    with tempfile.TemporaryDirectory() as scratch:
+        checkpoint = os.path.join(scratch, "checkpoint.json")
+        collector.save_state(checkpoint)
+        resumed = ShardedServer(
+            SCHEMA, EPSILON, protocols=PROTOCOLS, shards=SHARDS
+        ).load_state(checkpoint)
     for frame in frames[GATEWAYS // 2 :]:
         resumed.ingest_encoded(frame)
     estimate = resumed.estimate()

@@ -317,8 +317,7 @@ class RootAggregator(StreamServer):
                 document = federation_checkpoint_document(
                     self.contract, self._edges
                 )
-                self.store.save(document)
-                self._count_checkpoint(document)
+                self._count_checkpoint(self.store.save(document))
             # repro: allow[broad-except] -- poison rationale: any
             # checkpoint failure (typed or not) must roll the fold back
             # and poison the round before the ack, or un-durable state

@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from ..mechanisms.base import select
 from ..rng import RngLike
 from .base import FrequencyOracle
 
@@ -45,9 +46,11 @@ class GeneralizedRandomizedResponse(FrequencyOracle):
         gen = self._rng(rng)
         keep = gen.random(arr.size) < self.p_true
         # A uniform *other* category: draw from v-1 and skip the truth.
-        offset = gen.integers(1, self.n_categories, size=arr.size)
-        lie = (arr + offset) % self.n_categories
-        return np.where(keep, arr, lie)
+        lie = gen.integers(1, self.n_categories, size=arr.size)
+        lie += arr
+        lie %= self.n_categories
+        # arr is _check_labels' own int64 copy, so the select may fill it.
+        return select(keep, arr, lie, out=arr)
 
     def estimate(self, reports: np.ndarray) -> np.ndarray:
         """Unbiased frequency estimates from perturbed labels."""

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import DimensionError
+from ..mechanisms.base import select
 from ..rng import RngLike
 from .base import FrequencyOracle
 
@@ -88,9 +89,11 @@ class OptimizedLocalHashing(FrequencyOracle):
         )
         true_buckets = _hash_buckets(seeds, arr, self.n_buckets)
         keep = gen.random(arr.size) < self.p_true
-        offset = gen.integers(1, self.n_buckets, size=arr.size)
-        lie = (true_buckets + offset) % self.n_buckets
-        return OlhReports(seeds=seeds, buckets=np.where(keep, true_buckets, lie))
+        lie = gen.integers(1, self.n_buckets, size=arr.size)
+        lie += true_buckets
+        lie %= self.n_buckets
+        buckets = select(keep, true_buckets, lie, out=true_buckets)
+        return OlhReports(seeds=seeds, buckets=buckets)
 
     def support_counts(self, reports: OlhReports, chunk: int = 4096) -> np.ndarray:
         """Per-category support counts ``Σ_i 1[H(seed_i, j) = bucket_i]``.

@@ -18,7 +18,7 @@ from typing import Tuple
 import numpy as np
 
 from ..rng import RngLike, ensure_rng
-from .base import Mechanism, validate_epsilon, validate_values
+from .base import Mechanism, select, validate_epsilon, validated_copy
 
 
 class DuchiMechanism(Mechanism):
@@ -46,12 +46,13 @@ class DuchiMechanism(Mechanism):
         self, values: np.ndarray, epsilon: float, rng: RngLike = None
     ) -> np.ndarray:
         eps = validate_epsilon(epsilon)
-        arr = validate_values(values, self.input_domain)
+        prob_positive = validated_copy(values, self.input_domain)
         gen = ensure_rng(rng)
         big_c = self.magnitude(eps)
-        prob_positive = 0.5 + arr * self._half_slope(eps)
-        positive = gen.random(arr.shape) < prob_positive
-        return np.where(positive, big_c, -big_c)
+        prob_positive *= self._half_slope(eps)
+        prob_positive += 0.5
+        draw = gen.random(prob_positive.shape)
+        return select(draw < prob_positive, big_c, -big_c, out=draw)
 
     def conditional_bias(self, values: np.ndarray, epsilon: float) -> np.ndarray:
         validate_epsilon(epsilon)

@@ -26,7 +26,7 @@ from typing import Tuple
 import numpy as np
 
 from ..rng import RngLike, ensure_rng
-from .base import Mechanism, validate_epsilon, validate_values
+from .base import Mechanism, select, validate_epsilon, validate_values
 from .duchi import DuchiMechanism
 from .piecewise import PiecewiseMechanism
 
@@ -64,7 +64,7 @@ class HybridMechanism(Mechanism):
         use_piecewise = gen.random(arr.shape) < alpha
         piecewise_draw = self._piecewise.perturb(arr, eps, gen)
         duchi_draw = self._duchi.perturb(arr, eps, gen)
-        return np.where(use_piecewise, piecewise_draw, duchi_draw)
+        return select(use_piecewise, piecewise_draw, duchi_draw, out=piecewise_draw)
 
     def conditional_bias(self, values: np.ndarray, epsilon: float) -> np.ndarray:
         validate_epsilon(epsilon)

@@ -24,7 +24,7 @@ from typing import Tuple
 import numpy as np
 
 from ..rng import RngLike, ensure_rng
-from .base import Mechanism, validate_epsilon, validate_values
+from .base import Mechanism, select, validate_epsilon, validated_copy
 
 
 class PiecewiseMechanism(Mechanism):
@@ -58,25 +58,38 @@ class PiecewiseMechanism(Mechanism):
         self, values: np.ndarray, epsilon: float, rng: RngLike = None
     ) -> np.ndarray:
         eps = validate_epsilon(epsilon)
-        arr = validate_values(values, self.input_domain)
         gen = ensure_rng(rng)
         big_q = self.boundary(eps)
-        left, right = self.center_interval(arr, eps)
         # Total mass of the centre interval integrates to
         # e^{ε/2}/(e^{ε/2}+1) = 1/(1 + e^{−ε/2}) (overflow-safe form).
         prob_center = 1.0 / (1.0 + math.exp(-eps / 2.0))
+        # In place, each expression's operands in the same order as in
+        # center_interval and the np.where reference kernel in
+        # tests/reference_kernels.py (up to swapping those of a sum or
+        # product, and −c + x as x − c), so every entry rounds exactly
+        # as there: see DESIGN §1.
+        left = validated_copy(values, self.input_domain)
+        left *= (big_q + 1.0) / 2.0
+        left -= (big_q - 1.0) / 2.0
 
-        in_center = gen.random(arr.shape) < prob_center
-        center_draw = left + gen.random(arr.shape) * (big_q - 1.0)
+        draw = gen.random(left.shape)
+        in_center = draw < prob_center
+        center_draw = gen.random(out=draw)
+        center_draw *= big_q - 1.0
+        center_draw += left
         # Tail: uniform over [−Q, l) ∪ (r, Q], total length Q + 1.
-        tail_position = gen.random(arr.shape) * (big_q + 1.0)
-        left_tail_len = left + big_q
-        tail_draw = np.where(
-            tail_position < left_tail_len,
-            -big_q + tail_position,
-            right + (tail_position - left_tail_len),
-        )
-        return np.where(in_center, center_draw, tail_draw)
+        tail_position = gen.random(left.shape)
+        tail_position *= big_q + 1.0
+        left_tail_len = left
+        left_tail_len += big_q
+        in_left_tail = tail_position < left_tail_len
+        # Right tail r + (position − (l + Q)), with r = (l + Q) − 1.
+        right_tail = tail_position - left_tail_len
+        left_tail_len -= 1.0
+        right_tail += left_tail_len
+        tail_position -= big_q
+        tail_draw = select(in_left_tail, tail_position, right_tail, out=tail_position)
+        return select(in_center, center_draw, tail_draw, out=center_draw)
 
     def conditional_bias(self, values: np.ndarray, epsilon: float) -> np.ndarray:
         validate_epsilon(epsilon)
@@ -104,8 +117,8 @@ class PiecewiseMechanism(Mechanism):
         left, right = self.center_interval(values, eps)
         high = (math.exp(eps) - math.exp(eps / 2.0)) / (2.0 * math.exp(eps / 2.0) + 2.0)
         low = (1.0 - math.exp(-eps / 2.0)) / (2.0 * math.exp(eps / 2.0) + 2.0)
-        density = np.where((out >= left) & (out <= right), high, low)
-        return np.where(np.abs(out) <= big_q, density, 0.0)
+        density = select((out >= left) & (out <= right), high, low)
+        return select(np.abs(out) <= big_q, density, 0.0, out=density)
 
     def output_support(self, epsilon: float) -> Tuple[float, float]:
         big_q = self.boundary(epsilon)

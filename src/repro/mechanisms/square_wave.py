@@ -27,8 +27,9 @@ from .base import (
     AffineTransformedMechanism,
     Mechanism,
     STANDARD_DOMAIN,
+    select,
     validate_epsilon,
-    validate_values,
+    validated_copy,
 )
 
 
@@ -64,22 +65,31 @@ class SquareWaveMechanism(Mechanism):
         self, values: np.ndarray, epsilon: float, rng: RngLike = None
     ) -> np.ndarray:
         eps = validate_epsilon(epsilon)
-        arr = validate_values(values, self.input_domain)
+        arr = validated_copy(values, self.input_domain)
         gen = ensure_rng(rng)
         b = self.half_width(eps)
         b_exp = self._b_exp(eps)
         prob_center = 2.0 * b_exp / (2.0 * b_exp + 1.0)
 
-        in_center = gen.random(arr.shape) < prob_center
-        center_draw = arr - b + gen.random(arr.shape) * 2.0 * b
+        # In place, each expression's operands in the same order (up to
+        # swapping those of a sum or product, and −c + x as x − c), so
+        # every entry rounds exactly as the np.where reference kernel in
+        # tests/reference_kernels.py.
+        center_draw = gen.random(arr.shape)
+        in_center = center_draw < prob_center
+        gen.random(out=center_draw)
         # Tail: uniform over [−b, t−b) ∪ (t+b, 1+b], total length exactly 1.
         tail_position = gen.random(arr.shape)
-        tail_draw = np.where(
-            tail_position < arr,
-            -b + tail_position,
-            b + tail_position,
-        )
-        return np.where(in_center, center_draw, tail_draw)
+        in_left_tail = tail_position < arr
+        # Near band: (t − b) + u · 2 · b.
+        center_draw *= 2.0
+        center_draw *= b
+        arr -= b
+        center_draw += arr
+        right_tail = np.add(tail_position, b, out=arr)
+        tail_position -= b
+        tail_draw = select(in_left_tail, tail_position, right_tail, out=tail_position)
+        return select(in_center, center_draw, tail_draw, out=center_draw)
 
     def conditional_bias(self, values: np.ndarray, epsilon: float) -> np.ndarray:
         """Paper Eq. 17: data-dependent bias of the raw output.
@@ -126,9 +136,9 @@ class SquareWaveMechanism(Mechanism):
         b_exp = self._b_exp(eps)
         denom = 2.0 * b_exp + 1.0
         in_band = b_exp / denom / b if b > 0 else math.inf
-        density = np.where(np.abs(out - arr) < b, in_band, 1.0 / denom)
+        density = select(np.abs(out - arr) < b, in_band, 1.0 / denom)
         inside = (out >= -b) & (out <= 1.0 + b)
-        return np.where(inside, density, 0.0)
+        return select(inside, density, 0.0, out=density)
 
     def output_support(self, epsilon: float) -> Tuple[float, float]:
         b = self.half_width(epsilon)

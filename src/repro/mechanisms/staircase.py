@@ -28,7 +28,7 @@ import numpy as np
 
 from ..exceptions import ParameterError
 from ..rng import RngLike, ensure_rng
-from .base import AdditiveNoiseMechanism, validate_epsilon
+from .base import AdditiveNoiseMechanism, select, validate_epsilon
 
 
 def optimal_gamma(epsilon: float) -> float:
@@ -79,12 +79,15 @@ class StaircaseMechanism(AdditiveNoiseMechanism):
         # Within a step, land in the left (width γΔ) or right ((1−γ)Δ)
         # sub-interval with odds γ : (1−γ)b.
         left = gen.random(size=size) < gamma / (gamma + (1.0 - gamma) * b)
-        offset = np.where(
-            left,
-            gamma * uniform,
-            gamma + (1.0 - gamma) * uniform,
-        )
-        return sign * (geometric + offset) * delta
+        right_offset = uniform * (1.0 - gamma)
+        right_offset += gamma
+        uniform *= gamma
+        noise = select(left, uniform, right_offset, out=uniform)
+        # sign · (G + offset) · Δ, in place.
+        noise += geometric
+        noise *= sign
+        noise *= delta
+        return noise
 
     def noise_variance(self, epsilon: float) -> float:
         """Closed-form ``E[X²]`` of staircase noise (zero mean by symmetry).

@@ -160,8 +160,12 @@ class CheckpointStore(abc.ABC):
         )
 
     @abc.abstractmethod
-    def save(self, document: Mapping[str, Any]) -> None:
-        """Durably persist ``document`` as the newest checkpoint."""
+    def save(self, document: Mapping[str, Any]) -> int:
+        """Durably persist ``document`` as the newest checkpoint.
+
+        Returns the length in bytes of the encoded document
+        (:func:`encode_document`), before any backend framing.
+        """
 
     @abc.abstractmethod
     def load(self) -> Optional[Dict[str, Any]]:

@@ -37,7 +37,7 @@ class JsonFileStore(CheckpointStore):
     def _path_for_uri(self) -> str:
         return str(self.path)
 
-    def save(self, document: Mapping[str, Any]) -> None:
+    def save(self, document: Mapping[str, Any]) -> int:
         blob = encode_document(document)  # refuse before touching disk
         started = self.telemetry.clock()
         scratch = self.path.with_name(self.path.name + ".tmp")
@@ -52,6 +52,7 @@ class JsonFileStore(CheckpointStore):
                 scratch.unlink()
             raise
         self._observe_op("save", started, len(blob))
+        return len(blob)
 
     def load(self) -> Optional[Dict[str, Any]]:
         started = self.telemetry.clock()

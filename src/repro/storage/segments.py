@@ -112,7 +112,7 @@ class SegmentLogStore(CheckpointStore):
 
     # --------------------------------------------------------------- verbs
 
-    def save(self, document: Mapping[str, Any]) -> None:
+    def save(self, document: Mapping[str, Any]) -> int:
         payload = encode_document(document)
         record = _pack_record(payload)
         started = self.telemetry.clock()
@@ -131,6 +131,7 @@ class SegmentLogStore(CheckpointStore):
         self._saves_since_compaction += 1
         if self._saves_since_compaction >= self.compact_every:
             self.compact()
+        return len(payload)
 
     def _scan_segment(
         self, path: pathlib.Path, strict: bool

@@ -92,7 +92,7 @@ class SqliteStore(CheckpointStore):
 
     # --------------------------------------------------------------- verbs
 
-    def save(self, document: Mapping[str, Any]) -> None:
+    def save(self, document: Mapping[str, Any]) -> int:
         blob = encode_document(document)
         crc = document_crc(blob)
         started = self.telemetry.clock()
@@ -114,6 +114,7 @@ class SqliteStore(CheckpointStore):
                 "sqlite checkpoint save to %s failed: %s" % (self.path, exc)
             ) from None
         self._observe_op("save", started, len(blob))
+        return len(blob)
 
     def _rows(self):
         if not self.path.exists():

@@ -44,7 +44,6 @@ from ..exceptions import (
     positive_count,
 )
 from ..storage import CheckpointStore
-from ..storage.base import encode_document
 from ..telemetry import MetricsRegistry, counted, emit, event_logger
 from ..wire.contract import DIGEST_SIZE, CollectionContract
 from .framing import (
@@ -367,12 +366,10 @@ class StreamServer:
         if self._progress is not None:
             self._progress.set()
 
-    def _count_checkpoint(self, document: Dict[str, Any]) -> int:
-        """Count one saved checkpoint; its encoded size in bytes."""
-        nbytes = len(encode_document(document))
+    def _count_checkpoint(self, nbytes: int) -> None:
+        """Count one saved checkpoint of ``nbytes`` encoded bytes."""
         self._m_checkpoints.inc()
         self._m_checkpoint_bytes.inc(nbytes)
-        return nbytes
 
     def _check_folds(self) -> None:
         if self._fold_error is not None:

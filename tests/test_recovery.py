@@ -35,6 +35,7 @@ from repro.storage import (
     JsonFileStore,
     SegmentLogStore,
     SqliteStore,
+    encode_document,
     parse_round_checkpoint,
     round_checkpoint_document,
 )
@@ -329,6 +330,33 @@ class TestDurability:
 
         assert asyncio.run(scenario()) == [1, 2, 3]
 
+    def test_checkpoint_bytes_count_the_encoded_documents(self, tmp_path):
+        """The byte counter adds up what the store reports it encoded."""
+
+        frames = _frames(9, batches=3)
+        encoded = []
+
+        class RecordingStore(JsonFileStore):
+            def save(self, document):
+                encoded.append(len(encode_document(document)))
+                return super().save(document)
+
+        async def scenario():
+            store = RecordingStore(tmp_path / "round.json")
+            gateway = await _gateway(store=store, checkpoint_every=1)
+            await replay_frames(
+                "127.0.0.1", gateway.port, _contract(), frames, SENDER_ONE
+            )
+            await gateway.stop()
+            store.close()
+            return gateway.stats_snapshot()["metrics"]
+
+        metrics = asyncio.run(scenario())
+        saved = metrics["gateway_checkpoints_written_total"]["values"][""]
+        nbytes = metrics["gateway_checkpoint_bytes_total"]["values"][""]
+        assert saved == len(encoded) >= len(frames)
+        assert nbytes == sum(encoded)
+
     def test_time_trigger_checkpoints_idle_free(self, tmp_path):
         """The timer only writes when frames arrived since the last one."""
 
@@ -411,7 +439,7 @@ class TestCheckpointTimerEdges:
             def save(self, document):
                 if self.fail:
                     raise StorageError("disk full")
-                super().save(document)
+                return super().save(document)
 
         frames = _frames(12, batches=3)
 

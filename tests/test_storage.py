@@ -75,6 +75,14 @@ class TestStoreContract:
             assert store.recover()["round"] == 4
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    def test_save_returns_encoded_document_length(self, backend, tmp_path):
+        kwargs = {"compact_every": 2} if backend == "segments" else {}
+        with _store_for(backend, tmp_path, **kwargs) as store:
+            for n in range(4):  # the segment log compacts on saves 2 and 4
+                document = {"round": n, "pad": "x" * (10 * n)}
+                assert store.save(document) == len(encode_document(document))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_location_is_a_reopenable_uri(self, backend, tmp_path):
         with _store_for(backend, tmp_path) as store:
             store.save({"round": 7})
