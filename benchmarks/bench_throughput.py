@@ -55,12 +55,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.collection import mixed_schema
-from repro.federation import (
-    StatePusher,
-    encode_state_push,
-    serve_root,
-    state_dict_delta,
-)
+from repro.federation import StatePusher, encode_state_push, serve_root
 from repro.mechanisms import available_mechanisms, get_mechanism
 from repro.session import (
     CategoricalAttribute,
@@ -400,7 +395,7 @@ def test_federation_push_throughput(benchmark, results_dir):
     )
     for batch in batches[:-1]:
         server.ingest_encoded(client.encode(batch))
-    base_state = server.state_dict()
+    base_state = server.state
     server.ingest_encoded(client.encode(batches[-1]))
     state = server.state_dict()
     push_bytes = len(encode_state_push(state))
@@ -408,7 +403,9 @@ def test_federation_push_throughput(benchmark, results_dir):
     # exact accumulator delta covering just the final batch.
     delta_bytes = len(
         encode_state_push(
-            state_dict_delta(state, base_state), kind="delta", base_epoch=1
+            server.state.delta(base_state).to_document(),
+            kind="delta",
+            base_epoch=1,
         )
     )
 

@@ -113,14 +113,13 @@ class TelemetryError(ReproError, ValueError):
 
 
 class StateDeltaError(ReproError, ValueError):
-    """Raised when no trustworthy delta exists between two snapshots.
+    """Raised when no trustworthy delta exists between two states.
 
-    :func:`~repro.federation.state_dict_delta` raises this when the
-    earlier snapshot is provably not a prefix of the newer one —
-    mismatched contracts or formats, an attribute kind it cannot
-    difference, or a monotone counter that went down. Callers treat it
-    as "ship a full snapshot instead", never as corruption (that is
-    :class:`WireFormatError`).
+    :meth:`~repro.session.SessionState.delta` raises this when the
+    earlier state is provably not a prefix of the newer one —
+    mismatched contracts or a monotone counter (users, rows, oracle
+    counts) that went down. Callers treat it as "ship a full snapshot
+    instead", never as corruption (that is :class:`WireFormatError`).
     """
 
 

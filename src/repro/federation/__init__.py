@@ -57,7 +57,6 @@ from .state_push import (
     StatePush,
     decode_state_push,
     encode_state_push,
-    state_dict_delta,
 )
 
 __all__ = [
@@ -79,5 +78,4 @@ __all__ = [
     "federation_checkpoint_document",
     "parse_federation_checkpoint",
     "serve_root",
-    "state_dict_delta",
 ]

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..exceptions import (
     StateDeltaError,
@@ -42,14 +42,14 @@ from ..session.client import ProtocolSpec
 from ..session.schema import Schema
 from ..session.server import Postprocessor, SessionEstimate
 from ..session.sharded import ShardedServer
+from ..session.state import SessionState
 from ..storage import CheckpointStore
 from ..telemetry import MetricsRegistry, counted, emit, event_logger
 from ..transport.framing import DEFAULT_MAX_FRAME_BYTES
 from ..transport.gateway import CollectionGateway
-from ..transport.stream import _as_sender_id, retry_summary
+from ..transport.stream import RETRYABLE, _as_sender_id, retry_connect
 from ..wire.contract import CollectionContract
 from .pusher import StatePusher
-from .state_push import state_dict_delta
 
 
 class EdgeAggregator:
@@ -140,12 +140,11 @@ class EdgeAggregator:
         self._wake: Optional[asyncio.Event] = None
         self._loop_task: Optional[asyncio.Task] = None
         self._stopping = False
-        self._frames_at_push = 0
         self._frames_since_push = 0
-        #: Snapshot and epoch of the last push the root acknowledged —
-        #: the base the next delta push builds on. ``None`` forces a
-        #: full snapshot (first push, failed delta, edge restart).
-        self._base_state: Optional[Dict[str, Any]] = None
+        #: State and epoch of the last push the root acknowledged — the
+        #: base the next delta push builds on. ``None`` forces a full
+        #: snapshot (first push, failed delta, edge restart).
+        self._base_state: Optional[SessionState] = None
         self._base_epoch = 0
         self.last_epoch = 0
         self.last_push_error: Optional[Exception] = None
@@ -358,7 +357,7 @@ class EdgeAggregator:
         async with self._push_lock:
             await self.gateway.drain()
             frames = self.gateway.frames_accepted
-            state = self.server.state_dict()
+            state = self.server.state
             counters = {
                 "frames_accepted": self.gateway.frames_accepted,
                 "frames_rejected": self.gateway.frames_rejected,
@@ -367,86 +366,76 @@ class EdgeAggregator:
                 "bytes_received": self.gateway.bytes_received,
                 "users_accepted": self.gateway.users_accepted,
             }
-            failures: List[Tuple[int, BaseException]] = []
-            for attempt in range(1, self.push_attempts + 1):
-                if attempt > 1:
-                    await asyncio.sleep(self.push_retry_delay)
+            as_delta = False
+
+            async def attempt_push() -> int:
+                nonlocal as_delta
                 as_delta = False
-                try:
-                    pusher = await self._ensure_pusher()
-                    delta: Optional[Dict[str, Any]] = None
-                    if (
-                        self._base_state is not None
-                        and pusher.acked_epoch == self._base_epoch
-                    ):
-                        try:
-                            delta = state_dict_delta(state, self._base_state)
-                        except StateDeltaError:
-                            # Not a prefix pair (e.g. the local server
-                            # was reset mid-round): ship it all.
-                            self._base_state = None
-                    if delta is not None:
+                pusher = await self._ensure_pusher()
+                if (
+                    self._base_state is not None
+                    and pusher.acked_epoch == self._base_epoch
+                ):
+                    try:
+                        delta = state.delta(self._base_state)
+                    except StateDeltaError:
+                        # Not a prefix pair (e.g. the local server was
+                        # reset mid-round): ship it all.
+                        self._base_state = None
+                    else:
                         as_delta = True
-                        epoch = await pusher.push(
-                            delta,
+                        return await pusher.push(
+                            delta.to_document(),
                             counters,
                             kind="delta",
                             base_epoch=self._base_epoch,
                         )
-                    else:
-                        epoch = await pusher.push(state, counters)
-                except (TransportError, ConnectionError, OSError) as exc:
-                    failures.append((attempt, exc))
-                    self._m_push_retries.inc()
-                    emit(
-                        self._log,
-                        "push_retry",
-                        level=logging.WARNING,
-                        edge_id=self.edge_id.hex(),
-                        attempt=attempt,
-                        attempts=self.push_attempts,
-                        error=str(exc),
-                    )
-                    await self._close_pusher()
-                    continue
-                except WireFormatError as exc:
+                return await pusher.push(state.to_document(), counters)
+
+            async def failed(attempt: int, exc: BaseException) -> None:
+                refused = isinstance(exc, WireFormatError)
+                if refused:
                     if not as_delta:
-                        raise
+                        raise exc
                     # The root refused the delta (base mismatch after an
                     # ack raced a crash, say). Forget the base so the
                     # next attempt ships the authoritative full snapshot.
                     self._base_state = None
                     self._base_epoch = 0
-                    failures.append((attempt, exc))
-                    self._m_push_retries.inc()
-                    emit(
-                        self._log,
-                        "delta_refused",
-                        level=logging.WARNING,
-                        edge_id=self.edge_id.hex(),
-                        attempt=attempt,
-                        error=str(exc),
-                    )
-                    await self._close_pusher()
-                    continue
-                if as_delta:
-                    self._m_delta_pushes.inc()
-                self._base_state = state
-                self._base_epoch = epoch
-                self.last_epoch = epoch
-                self.last_push_error = None
-                self._frames_at_push = frames
-                self._frames_since_push = max(
-                    0, self.gateway.frames_accepted - frames
+                self._m_push_retries.inc()
+                extra = {} if refused else {"attempts": self.push_attempts}
+                emit(
+                    self._log,
+                    "delta_refused" if refused else "push_retry",
+                    level=logging.WARNING,
+                    edge_id=self.edge_id.hex(),
+                    attempt=attempt,
+                    **extra,
+                    error=str(exc),
                 )
-                self._m_pushes.inc()
-                self._m_last_epoch.set(epoch)
-                self._m_unpushed.set(self._frames_since_push)
-                return epoch
-            raise TransportError(
-                "state not pushed after %d attempt(s): %s"
-                % (self.push_attempts, retry_summary(failures))
-            ) from failures[-1][1]
+                await self._close_pusher()
+
+            epoch = await retry_connect(
+                attempt_push,
+                self.push_attempts,
+                self.push_retry_delay,
+                "state not pushed",
+                failed,
+                (*RETRYABLE, WireFormatError),
+            )
+            if as_delta:
+                self._m_delta_pushes.inc()
+            self._base_state = state
+            self._base_epoch = epoch
+            self.last_epoch = epoch
+            self.last_push_error = None
+            self._frames_since_push = max(
+                0, self.gateway.frames_accepted - frames
+            )
+            self._m_pushes.inc()
+            self._m_last_epoch.set(epoch)
+            self._m_unpushed.set(self._frames_since_push)
+            return epoch
 
     async def _ensure_pusher(self) -> StatePusher:
         if self._upstream is None:

@@ -77,11 +77,6 @@ class StatePusher(StreamClient):
             "Encode + ship + root-ack round trip per push",
         )
 
-    @property
-    def pushes_sent(self) -> int:
-        """Pushes acknowledged on this connection."""
-        return self._sent
-
     # --------------------------------------------------------------- pushing
 
     async def push(
@@ -94,9 +89,9 @@ class StatePusher(StreamClient):
         """Ship one state push; returns its epoch number.
 
         ``kind="snapshot"`` (the default) ships ``state`` as the full
-        cumulative snapshot; ``kind="delta"`` ships it as a
-        :func:`~repro.federation.state_push.state_dict_delta` difference
-        over the acknowledged epoch ``base_epoch``. The ack only arrives
+        cumulative snapshot; ``kind="delta"`` ships it as the document
+        of a :meth:`~repro.session.SessionState.delta` over the
+        acknowledged epoch ``base_epoch``. The ack only arrives
         once the root has validated the push, folded it into its edge
         table and — when it checkpoints — persisted it durably, so a
         returned epoch is a *safe* epoch: the reports it covers survive

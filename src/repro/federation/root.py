@@ -8,9 +8,10 @@ fingerprint-checked :meth:`~repro.session.LDPServer.state_dict`
 payloads — full cumulative snapshots, or *deltas* over the edge's last
 acknowledged epoch, which the root adds to its stored record through
 the exact big-integer merge before installing the sum as the new
-cumulative snapshot. Either way the root keeps exactly one record per
-edge — the newest epoch's cumulative state — and merges across edges at
-read time with the exact big-integer accumulation, so the federated
+cumulative state. Either way the root keeps exactly one record per
+edge — the newest epoch and its cumulative
+:class:`~repro.session.SessionState` — and merges across edges at read
+time with the exact big-integer accumulation, so the federated
 estimate is a pure function of the report multiset: bit-identical to
 one-shot ingestion regardless of edge count, push ordering, duplicate
 pushes, push kinds, or mid-round edge restarts.
@@ -27,9 +28,10 @@ restarted root recovers the edge table and resumes the round exactly.
 from __future__ import annotations
 
 import logging
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..exceptions import (
+    CheckpointCorruptError,
     ContractMismatchError,
     TransportError,
     WireFormatError,
@@ -37,6 +39,7 @@ from ..exceptions import (
 from ..session.client import ProtocolSpec
 from ..session.schema import Schema
 from ..session.server import LDPServer, Postprocessor, SessionEstimate
+from ..session.state import SessionState
 from ..storage import CheckpointStore
 from ..telemetry import MetricsRegistry, counted, emit
 from ..transport.framing import (
@@ -47,18 +50,11 @@ from ..transport.framing import (
 )
 from ..transport.stream import STATE_STREAM, Refusal, StreamServer
 from ..wire.contract import CollectionContract
-from .checkpoint import (
-    EdgeRecord,
-    federation_checkpoint_document,
-    parse_federation_checkpoint,
-)
-from .state_push import PUSH_KIND_DELTA, StatePush, decode_state_push
+from .checkpoint import federation_checkpoint_document, parse_federation_checkpoint
+from .state_push import PUSH_KIND_DELTA, decode_state_push
 
-
-def _state_users(state: Dict[str, Any]) -> int:
-    """Users an installed edge state covers (0 if it carries no count)."""
-    users = state.get("users")
-    return users if isinstance(users, int) and not isinstance(users, bool) else 0
+#: One edge's record at the root: ``(epoch, state, counters)``.
+_Record = Tuple[int, SessionState, Dict[str, Any]]
 
 
 class RootAggregator(StreamServer):
@@ -96,9 +92,11 @@ class RootAggregator(StreamServer):
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         super().__init__(max_frame_bytes, store, metrics)
-        self._constructor_args = (schema, epsilon, sampled_attributes, protocols)
-        self._template = LDPServer(schema, epsilon, sampled_attributes, protocols)
-        self._edges: Dict[bytes, EdgeRecord] = {}
+        # The root's read view: merged() installs the merge of every
+        # edge's state into it. Its collectors and contract are the ones
+        # every edge state is validated against.
+        self._view = LDPServer(schema, epsilon, sampled_attributes, protocols)
+        self._edges: Dict[bytes, _Record] = {}
         # Counts live in the registry only: a push is "accepted" once
         # validated, folded into the edge table and (with a store)
         # persisted durably.
@@ -135,7 +133,7 @@ class RootAggregator(StreamServer):
     @property
     def contract(self) -> CollectionContract:
         """The collection contract every edge push must match."""
-        return self._template.contract
+        return self._view.contract
 
     async def start(
         self, host: str = "127.0.0.1", port: int = 0, ssl=None
@@ -154,10 +152,20 @@ class RootAggregator(StreamServer):
         if self.store is not None:
             document = self.store.recover()
             if document is not None:
-                self._edges = parse_federation_checkpoint(
-                    document, self.contract
-                )
-                for edge_id, (epoch, state, _) in self._edges.items():
+                edges = parse_federation_checkpoint(document, self.contract)
+                # Every recovered state is validated before the socket
+                # opens; a foreign one keeps its ContractMismatchError.
+                recovered: Dict[bytes, _Record] = {}
+                for edge_id, (epoch, state, counters) in edges.items():
+                    try:
+                        recovered[edge_id] = (epoch, self._value(state), counters)
+                    except WireFormatError as exc:
+                        raise CheckpointCorruptError(
+                            "edge %s carries a damaged state in the "
+                            "federation checkpoint: %s" % (edge_id.hex(), exc)
+                        ) from None
+                self._edges = recovered
+                for edge_id, (epoch, state, _) in recovered.items():
                     self._observe_edge(edge_id, epoch, state)
                 emit(
                     self._log,
@@ -191,7 +199,7 @@ class RootAggregator(StreamServer):
         Each user reports through exactly one edge and edge snapshots
         are cumulative, so the sum across edges counts every user once.
         """
-        return sum(_state_users(state) for _, state, _ in self._edges.values())
+        return sum(state.users for _, state, _ in self._edges.values())
 
     @property
     def edges(self) -> int:
@@ -215,13 +223,16 @@ class RootAggregator(StreamServer):
     # -------------------------------------------------------------- results
 
     def merged(self) -> LDPServer:
-        """Merge every edge's newest snapshot into one fresh server."""
+        """The root's server, holding the merge of every edge's newest state.
+
+        The merge is re-installed on every call, so the returned server
+        always reflects the edge table; ingest into a server of your own.
+        """
         self._check_folds()
-        target = LDPServer(*self._constructor_args)
-        for edge_id in sorted(self._edges):
-            _, state, _ = self._edges[edge_id]
-            target.merge_state_dict(state)
-        return target
+        empty = SessionState(self._view.collectors, self.contract)
+        states = [self._edges[edge_id][1] for edge_id in sorted(self._edges)]
+        self._view._install(empty.merged(*states))
+        return self._view
 
     def estimate(
         self, postprocess: Optional[Postprocessor] = None
@@ -250,7 +261,7 @@ class RootAggregator(StreamServer):
         for edge_id, (epoch, state, counters) in sorted(self._edges.items()):
             edges[edge_id.hex()] = {
                 "epoch": epoch,
-                "users": _state_users(state),
+                "users": state.users,
                 "counters": dict(counters),
             }
             for name, value in counters.items():
@@ -276,11 +287,16 @@ class RootAggregator(StreamServer):
         }
 
     def _observe_edge(
-        self, edge_id: bytes, epoch: int, state: Dict[str, Any]
+        self, edge_id: bytes, epoch: int, state: SessionState
     ) -> None:
         label = edge_id.hex()[:8]
         self._m_edge_epoch.labels(edge=label).set(epoch)
-        self._m_edge_users.labels(edge=label).set(_state_users(state))
+        self._m_edge_users.labels(edge=label).set(state.users)
+
+    def _value(self, document: Mapping[str, Any]) -> SessionState:
+        return SessionState.from_document(
+            document, self._view.collectors, self.contract
+        )
 
     # ---------------------------------------------------------------- pushes
 
@@ -301,21 +317,44 @@ class RootAggregator(StreamServer):
         everything any skipped epoch would have.
         """
         started = self._clock()
+        previous = self._edges.get(edge_id)
         try:
             push = decode_state_push(payload, self.contract)
-            state = self._cumulative_state(edge_id, push)
+            delta = push.kind == PUSH_KIND_DELTA
+            if delta and previous is None:
+                raise WireFormatError(
+                    "delta push over base epoch %d from edge %s, but this "
+                    "root holds no state for it — a delta needs the "
+                    "snapshot it builds on" % (push.base_epoch, edge_id.hex())
+                )
+            if delta and push.base_epoch != previous[0]:
+                raise WireFormatError(
+                    "delta push builds on epoch %d but this root holds "
+                    "epoch %d for edge %s — the edge must re-ship a full "
+                    "snapshot" % (push.base_epoch, previous[0], edge_id.hex())
+                )
+            # Validated before it is installed: a malformed state must
+            # not replace a good one (merged() would fail after the ack).
+            state = self._value(push.state)
         except ContractMismatchError as exc:
             return Refusal("contract_mismatch", STATUS_CONTRACT_MISMATCH, exc)
         except WireFormatError as exc:
             return Refusal("invalid", STATUS_WIRE_ERROR, exc)
-        previous = self._edges.get(edge_id)
+        if delta:
+            # Exact merge onto the stored base: the installed state
+            # equals the full state the edge holds, bit for bit.
+            state = previous[1].merged(state)
         self._edges[edge_id] = (epoch, state, push.counters)
         if self.store is not None:
             # Durable BEFORE the ack: once the edge hears OK, its
             # snapshot survives a root SIGKILL.
             try:
                 document = federation_checkpoint_document(
-                    self.contract, self._edges
+                    self.contract,
+                    {
+                        key: (at, value.to_document(), reported)
+                        for key, (at, value, reported) in self._edges.items()
+                    },
                 )
                 self._count_checkpoint(self.store.save(document))
             # repro: allow[broad-except] -- poison rationale: any
@@ -344,7 +383,7 @@ class RootAggregator(StreamServer):
                 )
         self._m_pushes_accepted.inc()
         self._m_bytes_received.inc(len(payload))
-        if push.kind == PUSH_KIND_DELTA:
+        if delta:
             self._m_deltas_applied.inc()
         self._m_fold_seconds.observe(self._clock() - started)
         self._observe_edge(edge_id, epoch, state)
@@ -355,41 +394,10 @@ class RootAggregator(StreamServer):
             edge_id=edge_id.hex(),
             epoch=epoch,
             kind=push.kind,
-            users=state.get("users"),
+            users=state.users,
             bytes=len(payload),
         )
         return None
-
-    def _cumulative_state(
-        self, edge_id: bytes, push: StatePush
-    ) -> Dict[str, Any]:
-        """The edge's full state after ``push``, validated before install."""
-        if push.kind != PUSH_KIND_DELTA:
-            # Validate the snapshot restores cleanly BEFORE installing
-            # it — a malformed state must not replace a good one
-            # (merged() would fail long after the ack).
-            LDPServer(*self._constructor_args).load_state_dict(push.state)
-            return push.state
-        record = self._edges.get(edge_id)
-        if record is None:
-            raise WireFormatError(
-                "delta push over base epoch %d from edge %s, but this root "
-                "holds no state for it — a delta needs the snapshot it "
-                "builds on" % (push.base_epoch, edge_id.hex())
-            )
-        if push.base_epoch != record[0]:
-            raise WireFormatError(
-                "delta push builds on epoch %d but this root holds epoch %d "
-                "for edge %s — the edge must re-ship a full snapshot"
-                % (push.base_epoch, record[0], edge_id.hex())
-            )
-        # Exact merge onto the stored base: the installed state equals
-        # the full snapshot the edge holds, bit for bit
-        # (stored + (current − stored) == current).
-        folded = LDPServer(*self._constructor_args)
-        folded.load_state_dict(record[1])
-        folded.merge_state_dict(push.state)
-        return folded.state_dict()
 
 
 async def serve_root(

@@ -11,15 +11,15 @@ A federation push carries an edge aggregator's
     and resumed from its checkpoint re-ships everything it durably held.
 ``delta``
     Only the accumulator growth since ``base_epoch`` — the last epoch
-    the root acknowledged to this edge. Because every accumulator in a
-    state snapshot is exactly additive (big-integer sums, int64
-    counts), the difference of two snapshots is itself a valid
-    snapshot, and the root adds it to its stored record through the
-    same exact merge; ``stored + (current − stored) == current`` holds
-    bit for bit. Deltas exist purely to cut upstream bytes: an edge
-    falls back to a full snapshot on its first push, after any
-    reconnect whose re-learned watermark disagrees with its base, and
-    whenever a delta cannot be formed or is refused.
+    the root acknowledged to this edge: the document of
+    :meth:`~repro.session.SessionState.delta`. Every accumulator is
+    exactly additive (big-integer sums, int64 counts), so the root
+    merges it into its stored state value and
+    ``base.merged(current.delta(base)) == current`` holds bit for bit.
+    Deltas exist purely to cut upstream bytes: an edge falls back to a
+    full snapshot on its first push, after any reconnect whose
+    re-learned watermark disagrees with its base, and whenever a delta
+    cannot be formed or is refused.
 
 Payload layout (inside one transport frame, ``u64 epoch`` in the frame
 header)::
@@ -55,7 +55,7 @@ import json
 import zlib
 from typing import Any, Dict, Mapping, NamedTuple, Optional
 
-from ..exceptions import StateDeltaError, WireFormatError
+from ..exceptions import WireFormatError
 from ..wire.constants import CRC32
 from ..wire.contract import CollectionContract
 
@@ -166,12 +166,12 @@ def encode_state_push(
 ) -> bytes:
     """Serialize one state push (CRC-sealed canonical JSON).
 
-    ``state`` is an :meth:`~repro.session.LDPServer.state_dict`
-    snapshot — or, for ``kind="delta"``, a :func:`state_dict_delta`
-    difference, with ``base_epoch`` naming the acknowledged epoch the
-    delta builds on. ``counters`` are the edge's plain gateway counters
-    (JSON scalars), carried for root-side aggregation only — they never
-    touch the estimate.
+    ``state`` is a :meth:`~repro.session.SessionState.to_document`
+    document — the full state, or for ``kind="delta"`` the document of
+    a :meth:`~repro.session.SessionState.delta`, with ``base_epoch``
+    naming the acknowledged epoch the delta builds on. ``counters`` are
+    the edge's plain gateway counters (JSON scalars), carried for
+    root-side aggregation only — they never touch the estimate.
     """
     fingerprint = state.get("fingerprint") if isinstance(state, Mapping) else None
     if not isinstance(fingerprint, str):
@@ -312,138 +312,3 @@ def decode_state_push(
             "state push carries malformed counters: %r" % (counters,)
         )
     return StatePush(state, counters, kind, base_epoch)
-
-
-# --------------------------------------------------------------------------
-# Delta arithmetic over state_dict snapshots
-# --------------------------------------------------------------------------
-
-
-def _delta_oracle(name: str, cur: Mapping, prev: Mapping) -> Dict[str, Any]:
-    counts_cur = cur["counts"]
-    counts_prev = prev["counts"]
-    if len(counts_cur) != len(counts_prev):
-        raise StateDeltaError(
-            "attribute %r: count widths differ (%d vs %d)"
-            % (name, len(counts_cur), len(counts_prev))
-        )
-    counts = [int(a) - int(b) for a, b in zip(counts_cur, counts_prev)]
-    users = int(cur["users"]) - int(prev["users"])
-    if users < 0 or any(count < 0 for count in counts):
-        raise StateDeltaError(
-            "attribute %r: the earlier snapshot is not a prefix of the "
-            "newer one" % name
-        )
-    return {"kind": "oracle-counts", "counts": counts, "users": users}
-
-
-def _delta_sums(name: str, cur: Mapping, prev: Mapping) -> Dict[str, Any]:
-    sums_cur, sums_prev = cur["sums"], prev["sums"]
-    for field in ("kind", "width", "scale_bits"):
-        if sums_cur.get(field) != sums_prev.get(field):
-            raise StateDeltaError(
-                "attribute %r: accumulator %s differs (%r vs %r)"
-                % (name, field, sums_cur.get(field), sums_prev.get(field))
-            )
-    acc_cur, acc_prev = sums_cur["sums"], sums_prev["sums"]
-    if len(acc_cur) != len(acc_prev):
-        raise StateDeltaError(
-            "attribute %r: accumulator widths differ (%d vs %d)"
-            % (name, len(acc_cur), len(acc_prev))
-        )
-    rows = int(sums_cur["rows"]) - int(sums_prev["rows"])
-    if rows < 0:
-        raise StateDeltaError(
-            "attribute %r: the earlier snapshot is not a prefix of the "
-            "newer one" % name
-        )
-    return {
-        "kind": cur["kind"],
-        "sums": {
-            "kind": sums_cur["kind"],
-            "width": sums_cur["width"],
-            "rows": rows,
-            "scale_bits": sums_cur["scale_bits"],
-            # Column sums may legitimately go negative per column (the
-            # perturbed reports are signed); only the row/user counts
-            # are monotone.
-            "sums": [int(a) - int(b) for a, b in zip(acc_cur, acc_prev)],
-        },
-    }
-
-
-_DELTA_BY_KIND = {
-    "oracle-counts": _delta_oracle,
-    "numeric-sum": _delta_sums,
-    "histogram-sum": _delta_sums,
-}
-
-
-def state_dict_delta(
-    current: Mapping[str, Any], previous: Mapping[str, Any]
-) -> Dict[str, Any]:
-    """The exact accumulator growth from ``previous`` to ``current``.
-
-    Both arguments are :meth:`~repro.session.LDPServer.state_dict`
-    snapshots of the *same* server at two points in time (``previous``
-    earlier). The result is itself a valid state document: merging it
-    into ``previous`` with the exact big-integer merge reproduces
-    ``current`` bit for bit, which is the invariant delta pushes ride.
-
-    Raises :class:`~repro.exceptions.StateDeltaError` (a
-    :class:`ValueError`) whenever a trustworthy delta cannot be
-    formed — mismatched contracts or formats, an attribute kind this
-    builder does not know how to difference, or any monotone counter
-    (users, rows, oracle counts) that went *down*, which proves the
-    snapshots are not a prefix pair. Callers treat that as "ship a full
-    snapshot instead", never as corruption.
-    """
-    try:
-        for document in (current, previous):
-            if not isinstance(document, Mapping):
-                raise StateDeltaError("state snapshots must be mappings")
-        for field in ("format", "state_version", "fingerprint"):
-            if current.get(field) != previous.get(field):
-                raise StateDeltaError(
-                    "snapshot %s differs (%r vs %r): not the same round"
-                    % (field, current.get(field), previous.get(field))
-                )
-        if not isinstance(current.get("fingerprint"), str):
-            raise StateDeltaError("snapshots carry no contract fingerprint")
-        users = int(current["users"]) - int(previous["users"])
-        if users < 0:
-            raise StateDeltaError(
-                "the earlier snapshot covers more users than the newer one"
-            )
-        attrs_cur, attrs_prev = current["attributes"], previous["attributes"]
-        if set(attrs_cur) != set(attrs_prev):
-            raise StateDeltaError(
-                "snapshot attribute sets differ: %s vs %s"
-                % (sorted(attrs_cur), sorted(attrs_prev))
-            )
-        attributes: Dict[str, Any] = {}
-        for name in attrs_cur:
-            cur, prev = attrs_cur[name], attrs_prev[name]
-            kind = cur.get("kind")
-            if kind != prev.get("kind"):
-                raise StateDeltaError(
-                    "attribute %r changed kind (%r vs %r)"
-                    % (name, kind, prev.get("kind"))
-                )
-            builder = _DELTA_BY_KIND.get(kind)
-            if builder is None:
-                raise StateDeltaError(
-                    "attribute %r: no delta rule for state kind %r"
-                    % (name, kind)
-                )
-            attributes[name] = builder(name, cur, prev)
-    except (KeyError, TypeError) as exc:
-        raise StateDeltaError("malformed state snapshot: %s" % exc) from None
-    return {
-        "format": current["format"],
-        "state_version": current["state_version"],
-        "fingerprint": current["fingerprint"],
-        "contract": current.get("contract"),
-        "users": users,
-        "attributes": attributes,
-    }

@@ -60,6 +60,7 @@ from .client import (
 from .schema import Attribute, CategoricalAttribute, NumericAttribute, Schema
 from .server import AttributeEstimate, LDPServer, SessionEstimate
 from .sharded import ShardedServer
+from .state import SessionState
 from .streaming import StreamingSum
 
 __all__ = [
@@ -77,6 +78,7 @@ __all__ = [
     "ReportBatch",
     "Schema",
     "SessionEstimate",
+    "SessionState",
     "ShardedServer",
     "StreamingSum",
     "resolve_collectors",

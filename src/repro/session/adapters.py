@@ -38,7 +38,9 @@ from typing import Any, Hashable, List, Optional, Sequence
 
 import numpy as np
 
-from ..exceptions import AggregationError, DimensionError, DomainError, WireFormatError
+from ..exceptions import (
+    AggregationError, DimensionError, DomainError, StateDeltaError, WireFormatError,
+)
 from ..framework.deviation import DeviationModel, build_deviation_model
 from ..framework.multivariate import MultivariateDeviationModel
 from ..framework.population import ValueDistribution
@@ -160,6 +162,14 @@ class AttributeCollector(abc.ABC):
         """
 
     @abc.abstractmethod
+    def delta_states(self, state: Any, base: Any) -> Any:
+        """New state of the exact growth from ``base`` to ``state``.
+
+        Raises :class:`~repro.exceptions.StateDeltaError` when a monotone
+        count went down (``base`` is not a prefix of ``state``).
+        """
+
+    @abc.abstractmethod
     def snapshot(self, state: Any) -> dict:
         """JSON-serializable snapshot of an aggregation state."""
 
@@ -242,6 +252,11 @@ class SumStateMixin:
 
     def merge_states(self, state: Any, other: Any) -> None:
         state.sums.merge(other.sums)
+
+    def delta_states(self, state: Any, base: Any) -> Any:
+        delta = self.new_state()
+        delta.sums = state.sums.delta(base.sums, self.attribute.name)
+        return delta
 
     def snapshot(self, state: Any) -> dict:
         return {"kind": self.state_kind, "sums": state.sums.state_dict()}
@@ -529,6 +544,17 @@ class OracleCollector(AttributeCollector):
     def merge_states(self, state: _OracleState, other: _OracleState) -> None:
         state.counts = state.counts + other.counts
         state.users += other.users
+
+    def delta_states(self, state: _OracleState, base: _OracleState) -> _OracleState:
+        delta = self.new_state()
+        delta.counts = state.counts - base.counts
+        delta.users = state.users - base.users
+        if delta.users < 0 or bool((delta.counts < 0).any()):
+            raise StateDeltaError(
+                "attribute %r: the earlier snapshot is not a prefix of the "
+                "newer one" % self.attribute.name
+            )
+        return delta
 
     def snapshot(self, state: _OracleState) -> dict:
         return {

@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..exceptions import AggregationError, DimensionError, WireFormatError
+from ..exceptions import AggregationError, DimensionError
 from ..framework.multivariate import MultivariateDeviationModel
 from ..protocol.budget import BudgetPlan
 from ..telemetry import MetricsRegistry
@@ -38,11 +38,7 @@ from ..wire.codec import decode_batch
 from ..wire.contract import CollectionContract
 from .client import ProtocolSpec, ReportBatch, resolve_collectors
 from .schema import Schema
-
-#: Identifier and version of the JSON checkpoint documents written by
-#: :meth:`LDPServer.save_state`.
-STATE_FORMAT = "repro-ldp-server-state"
-STATE_VERSION = 1
+from .state import SessionState
 
 #: A post-processing step: a :class:`~repro.hdr4me.Recalibrator` (anything
 #: with a ``recalibrate(theta_hat, model)`` method) or a plain callable
@@ -183,12 +179,14 @@ class LDPServer:
         self.contract = CollectionContract.for_session(
             schema, self.plan, self.collectors
         )
-        self._states: Dict[str, Any] = {
-            name: collector.new_state()
-            for name, collector in self.collectors.items()
-        }
-        self._users = 0
+        #: Bumped on every change of the held value (see ShardedServer.state).
+        self._generation = 0
+        self._install(SessionState(self.collectors, self.contract))
         self.attach_telemetry(MetricsRegistry())
+
+    def _install(self, state: SessionState) -> None:
+        self._state = state
+        self._generation += 1
 
     def attach_telemetry(self, metrics: MetricsRegistry) -> "LDPServer":
         """Instrument this server against a shared telemetry registry.
@@ -228,14 +226,16 @@ class LDPServer:
     @property
     def users(self) -> int:
         """Number of users ingested so far."""
-        return self._users
+        return self._state.users
+
+    @property
+    def state(self) -> SessionState:
+        """The live aggregation state (folds change it in place)."""
+        return self._state
 
     def report_counts(self) -> Dict[str, int]:
         """Reports received so far, per attribute name."""
-        return {
-            name: collector.reports(self._states[name])
-            for name, collector in self.collectors.items()
-        }
+        return self._state.report_counts()
 
     def _validate_batch(self, batch: ReportBatch) -> Tuple[int, Dict[str, Any]]:
         """Validate every payload of a batch without touching any state.
@@ -328,9 +328,8 @@ class LDPServer:
 
     def _fold_validated(self, users: int, canonical: Mapping[str, Any]) -> None:
         """Accumulate one batch's canonical payloads (validation done)."""
-        for name, payload in canonical.items():
-            self.collectors[name].fold(self._states[name], payload)
-        self._users += users
+        self._state.fold(users, canonical)
+        self._generation += 1
         self._m_batches_folded.inc()
         self._m_users_folded.inc(users)
 
@@ -383,39 +382,13 @@ class LDPServer:
             raise DimensionError(
                 "can only merge another LDPServer, got %s" % type(other).__name__
             )
-        self.contract.require_digest(other.contract.digest, "merged server state")
-        for name, collector in self.collectors.items():
-            collector.merge_states(self._states[name], other._states[name])
-        self._users += other._users
+        self._install(self._state.merged(other._state))
         self._m_merges.inc()
         return self
 
     def reset(self) -> None:
         """Discard all accumulated reports (start a new round)."""
-        for name, collector in self.collectors.items():
-            self._states[name] = collector.new_state()
-        self._users = 0
-
-    def merge_state_dict(self, state: Mapping[str, Any]) -> "LDPServer":
-        """Fold a :meth:`state_dict` snapshot *into* the current state.
-
-        The additive counterpart of :meth:`load_state_dict` (which
-        replaces): the snapshot's accumulators are added to this
-        server's, exactly — merging a peer's snapshot is bit-identical
-        to having ingested the peer's batches directly. This is the
-        merge surface the federation tier rides: a root aggregator folds
-        edge ``state_dict`` pushes without ever seeing a report frame.
-
-        All-or-nothing like the other state verbs: the snapshot is fully
-        validated and restored (contract fingerprint, format, every
-        attribute) before any accumulator is touched.
-        """
-        restored, users = self._restore_states(state)
-        for name, collector in self.collectors.items():
-            collector.merge_states(self._states[name], restored[name])
-        self._users += users
-        self._m_merges.inc()
-        return self
+        self._install(SessionState(self.collectors, self.contract))
 
     # --------------------------------------------------------- checkpoints
 
@@ -426,17 +399,7 @@ class LDPServer:
         description); :meth:`load_state_dict` refuses snapshots produced
         under a different contract.
         """
-        return {
-            "format": STATE_FORMAT,
-            "state_version": STATE_VERSION,
-            "fingerprint": self.contract.fingerprint,
-            "contract": self.contract.describe(),
-            "users": self._users,
-            "attributes": {
-                name: collector.snapshot(self._states[name])
-                for name, collector in self.collectors.items()
-            },
-        }
+        return self._state.to_document()
 
     def load_state_dict(self, state: Mapping[str, Any]) -> "LDPServer":
         """Replace this server's state with a :meth:`state_dict` snapshot.
@@ -444,56 +407,10 @@ class LDPServer:
         All-or-nothing: the current state is swapped out only after the
         whole snapshot restored cleanly.
         """
-        restored, users = self._restore_states(state)
-        self._states = restored
-        self._users = users
+        self._install(
+            SessionState.from_document(state, self.collectors, self.contract)
+        )
         return self
-
-    def _restore_states(
-        self, state: Mapping[str, Any]
-    ) -> Tuple[Dict[str, Any], int]:
-        """Validate a :meth:`state_dict` snapshot and rebuild its states.
-
-        Shared by :meth:`load_state_dict` (replace) and
-        :meth:`merge_state_dict` (add); raises before anything of this
-        server is touched.
-        """
-        if not isinstance(state, Mapping) or state.get("format") != STATE_FORMAT:
-            raise WireFormatError(
-                "not a %r document: %r" % (STATE_FORMAT, state)
-            )
-        if state.get("state_version") != STATE_VERSION:
-            raise WireFormatError(
-                "unsupported state version %r (this build speaks %d)"
-                % (state.get("state_version"), STATE_VERSION)
-            )
-        fingerprint = state.get("fingerprint")
-        try:
-            digest = bytes.fromhex(fingerprint)
-        except (TypeError, ValueError):
-            raise WireFormatError(
-                "malformed state fingerprint: %r" % (fingerprint,)
-            ) from None
-        self.contract.require_digest(digest, "saved server state")
-        attributes = state.get("attributes")
-        if not isinstance(attributes, Mapping) or set(attributes) != set(
-            self.collectors
-        ):
-            raise WireFormatError(
-                "state document covers attributes %s but the contract has %s"
-                % (
-                    sorted(attributes) if isinstance(attributes, Mapping) else None,
-                    sorted(self.collectors),
-                )
-            )
-        users = state.get("users")
-        if not isinstance(users, int) or isinstance(users, bool) or users < 0:
-            raise WireFormatError("malformed user count: %r" % (users,))
-        restored = {
-            name: collector.restore(attributes[name])
-            for name, collector in self.collectors.items()
-        }
-        return restored, users
 
     def save_state(self, path: Union[str, pathlib.Path]) -> None:
         """Checkpoint the aggregation state to a JSON file.
@@ -540,11 +457,12 @@ class LDPServer:
         AggregationError
             If any attribute has received no reports yet.
         """
-        if self._users == 0:
+        if self._state.users == 0:
             raise AggregationError("no reports ingested yet")
         raws: Dict[str, np.ndarray] = {}
+        states = self._state.states
         for name, collector in self.collectors.items():
-            raws[name] = collector.estimate(self._states[name])
+            raws[name] = collector.estimate(states[name])
 
         enhanced: Dict[str, Optional[np.ndarray]] = {n: None for n in raws}
         if postprocess is not None:
@@ -554,7 +472,7 @@ class LDPServer:
         attributes = []
         for attr in self.schema:
             collector = self.collectors[attr.name]
-            state = self._states[attr.name]
+            state = states[attr.name]
             attributes.append(
                 AttributeEstimate(
                     name=attr.name,
@@ -567,14 +485,14 @@ class LDPServer:
                 )
             )
         return SessionEstimate(
-            attributes=attributes, users=self._users, plan=self.plan
+            attributes=attributes, users=self._state.users, plan=self.plan
         )
 
     # -------------------------------------------------------------- helpers
 
     def deviation_model(self, name: str) -> MultivariateDeviationModel:
         """The deviation model of one attribute's current estimate."""
-        return self.collectors[name].deviation_model(self._states[name])
+        return self.collectors[name].deviation_model(self._state.states[name])
 
     def _apply(
         self,

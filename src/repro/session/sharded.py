@@ -24,8 +24,7 @@ state for merging — exactly what :meth:`LDPServer.merge`,
 from __future__ import annotations
 
 import operator
-import pathlib
-from typing import Dict, Iterable, Optional, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 from ..exceptions import DimensionError
 from ..telemetry import MetricsRegistry
@@ -34,6 +33,7 @@ from ..wire.contract import CollectionContract
 from .client import ProtocolSpec, ReportBatch
 from .schema import Schema
 from .server import LDPServer, Postprocessor, SessionEstimate
+from .state import SessionState
 
 
 class ShardedServer:
@@ -69,6 +69,7 @@ class ShardedServer:
             for _ in range(count)
         )
         self._cursor = 0
+        self._merged: Optional[Tuple[Tuple[int, ...], SessionState]] = None
         self.attach_telemetry(self.shards[0].telemetry)
 
     def attach_telemetry(self, metrics: MetricsRegistry) -> "ShardedServer":
@@ -137,6 +138,20 @@ class ShardedServer:
 
     # ------------------------------------------------------------ estimate
 
+    @property
+    def state(self) -> SessionState:
+        """The merged state of every shard, as a read-only value.
+
+        Merged in shard order at most once per fold generation: until a
+        shard folds, loads or resets again, every caller (a checkpoint
+        and a push on the same trigger, say) gets the same value.
+        """
+        key = tuple(shard._generation for shard in self.shards)
+        if self._merged is None or self._merged[0] != key:
+            first, *rest = (shard.state for shard in self.shards)
+            self._merged = (key, first.merged(*rest))
+        return self._merged[1]
+
     def merged(self) -> LDPServer:
         """Fold all shard states into one fresh server (shard order).
 
@@ -144,8 +159,7 @@ class ShardedServer:
         flowing after a mid-round merge.
         """
         target = LDPServer(*self._constructor_args)
-        for shard in self.shards:
-            target.merge(shard)
+        target._install(self.state.merged())
         return target
 
     def estimate(
@@ -156,11 +170,7 @@ class ShardedServer:
 
     def report_counts(self) -> Dict[str, int]:
         """Reports received so far per attribute, across all shards."""
-        totals: Dict[str, int] = {}
-        for shard in self.shards:
-            for name, count in shard.report_counts().items():
-                totals[name] = totals.get(name, 0) + count
-        return totals
+        return self.state.report_counts()
 
     # --------------------------------------------------------- checkpoints
 
@@ -171,7 +181,7 @@ class ShardedServer:
         sharded snapshot restores into a single server and vice versa —
         checkpoints are topology-independent.
         """
-        return self.merged().state_dict()
+        return self.state.to_document()
 
     def load_state_dict(self, state) -> "ShardedServer":
         """Restore a :meth:`state_dict` snapshot (contract-verified).
@@ -183,42 +193,12 @@ class ShardedServer:
         checkpoint has restored cleanly; a failed load leaves the
         topology untouched.
         """
-        restored = LDPServer(*self._constructor_args)
-        restored.load_state_dict(state)
-        self._install_restored(restored)
-        return self
-
-    def merge_state_dict(self, state) -> "ShardedServer":
-        """Fold a snapshot *into* the topology (additive, shard 0).
-
-        Delegates to :meth:`LDPServer.merge_state_dict` on shard 0 —
-        since aggregation is exactly additive, where the snapshot lands
-        is invisible in the merged estimate.
-        """
-        self.shards[0].merge_state_dict(state)
-        return self
-
-    def _install_restored(self, restored: LDPServer) -> None:
+        self.shards[0].load_state_dict(state)
         for shard in self.shards[1:]:
             shard.reset()
-        restored.attach_telemetry(self.telemetry)
-        self.shards = (restored,) + self.shards[1:]
         self._cursor = 0
-
-    def save_state(self, path: Union[str, pathlib.Path]) -> None:
-        """Checkpoint the merged state to a JSON file (atomically).
-
-        Delegates to :class:`~repro.storage.JsonFileStore` like
-        :meth:`LDPServer.save_state` — temp file + rename, scratch file
-        removed on failure.
-        """
-        from ..storage import JsonFileStore
-
-        JsonFileStore(path).save(self.state_dict())
-
-    def load_state(self, path: Union[str, pathlib.Path]) -> "ShardedServer":
-        """Resume a round from a :meth:`save_state` checkpoint file."""
-        restored = LDPServer(*self._constructor_args)
-        restored.load_state(path)
-        self._install_restored(restored)
         return self
+
+    # The JSON-file verbs only go through state_dict / load_state_dict.
+    save_state = LDPServer.save_state
+    load_state = LDPServer.load_state

@@ -31,19 +31,14 @@ from __future__ import annotations
 
 import asyncio
 import logging
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..exceptions import TransportError, positive_count
 from ..session.client import ReportBatch
 from ..telemetry import MetricsRegistry, emit, event_logger
 from ..wire.codec import encode_batch
 from ..wire.contract import CollectionContract
-from .stream import (
-    REPORT_STREAM,
-    ContractLike,
-    StreamClient,
-    retry_summary,
-)
+from .stream import REPORT_STREAM, ContractLike, StreamClient, retry_connect
 
 _LOG = event_logger("sender")
 
@@ -165,43 +160,35 @@ async def replay_frames(
     """
     total = positive_count("attempts", attempts, TransportError)
     frames = list(frames)
-    failures: List[Tuple[int, BaseException]] = []
     metrics = metrics if metrics is not None else MetricsRegistry()
     retries = metrics.counter(
         "sender_retries_total",
         "Delivery attempts that failed with a transport error",
     )
-    for attempt in range(1, total + 1):
-        if attempt > 1:
-            await asyncio.sleep(retry_delay)
-        try:
-            sender = await AsyncReportSender.connect(
-                host,
-                port,
-                contract,
-                sender_id=sender_id,
-                metrics=metrics,
-                ssl=ssl,
-            )
-            async with sender:
-                for frame in frames:
-                    await sender.send_encoded(frame)
-            return sender
-        except (TransportError, ConnectionError, OSError) as exc:
-            failures.append((attempt, exc))
-            retries.inc()
-            emit(
-                _LOG,
-                "sender_retry",
-                level=logging.WARNING,
-                attempt=attempt,
-                attempts=total,
-                error=str(exc),
-            )
-    raise TransportError(
-        "round not delivered after %d attempt(s): %s"
-        % (total, retry_summary(failures))
-    ) from failures[-1][1]
+
+    async def deliver() -> AsyncReportSender:
+        sender = await AsyncReportSender.connect(
+            host, port, contract, sender_id=sender_id, metrics=metrics, ssl=ssl
+        )
+        async with sender:
+            for frame in frames:
+                await sender.send_encoded(frame)
+        return sender
+
+    async def failed(attempt: int, exc: BaseException) -> None:
+        retries.inc()
+        emit(
+            _LOG,
+            "sender_retry",
+            level=logging.WARNING,
+            attempt=attempt,
+            attempts=total,
+            error=str(exc),
+        )
+
+    return await retry_connect(
+        deliver, total, retry_delay, "round not delivered", failed
+    )
 
 
 __all__ = ["AsyncReportSender", "replay_frames"]

@@ -33,7 +33,8 @@ import json
 import logging
 import os
 from typing import (
-    Any, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+    Any, Awaitable, Callable, Dict, List, NamedTuple, Optional, Sequence, Set,
+    Tuple, Union,
 )
 
 from ..exceptions import (
@@ -148,6 +149,41 @@ def retry_summary(failures: Sequence[Tuple[int, BaseException]]) -> str:
         )
         for message, numbers in distinct.items()
     )
+
+
+#: Failures a fresh connection may cure: a peer that refused, dropped or
+#: restarted the connection.
+RETRYABLE = (TransportError, ConnectionError, OSError)
+
+
+async def retry_connect(
+    attempt_once: Callable[[], Awaitable[Any]],
+    attempts: int,
+    retry_delay: float,
+    what: str,
+    failed: Callable[[int, BaseException], Awaitable[None]],
+    retry_on: Tuple[type, ...] = RETRYABLE,
+) -> Any:
+    """Await ``attempt_once()`` until it returns, at most ``attempts`` times.
+
+    Each ``retry_on`` failure goes to ``failed(attempt, exc)``, which
+    counts and logs it (or re-raises it to stop); the next attempt
+    starts ``retry_delay`` seconds later. Other failures propagate. When
+    every attempt fails, raises :class:`TransportError` with
+    :func:`retry_summary`, chained to the last failure.
+    """
+    failures: List[Tuple[int, BaseException]] = []
+    for attempt in range(1, attempts + 1):
+        if attempt > 1:
+            await asyncio.sleep(retry_delay)
+        try:
+            return await attempt_once()
+        except retry_on as exc:
+            failures.append((attempt, exc))
+            await failed(attempt, exc)
+    raise TransportError(
+        "%s after %d attempt(s): %s" % (what, attempts, retry_summary(failures))
+    ) from failures[-1][1]
 
 
 def _as_contract(contract: ContractLike) -> CollectionContract:

@@ -128,7 +128,10 @@ class TestTypedRaisesAcrossTheLibrary:
 
     def test_state_delta_error_on_incompatible_snapshots(self):
         from repro import StateDeltaError
-        from repro.federation.state_push import state_dict_delta
+        from repro.session import LDPServer, NumericAttribute, Schema
 
+        schema = Schema([NumericAttribute("a"), NumericAttribute("b")])
+        ours = LDPServer(schema, epsilon=1.0).state
+        theirs = LDPServer(schema, epsilon=2.0).state
         with pytest.raises(StateDeltaError):
-            state_dict_delta({"shape": (2, 2)}, {"shape": (3, 3)})
+            ours.delta(theirs)

@@ -37,7 +37,6 @@ from repro.federation import (
     federation_checkpoint_document,
     parse_federation_checkpoint,
     serve_root,
-    state_dict_delta,
 )
 from repro.session import (
     CategoricalAttribute,
@@ -45,6 +44,7 @@ from repro.session import (
     LDPServer,
     NumericAttribute,
     Schema,
+    SessionState,
 )
 from repro.storage import JsonFileStore
 from repro.transport import AsyncReportSender, replay_frames, request_stats
@@ -196,30 +196,38 @@ class TestDeltaPushes:
             server.ingest_encoded(frame)
         return server, previous, server.state_dict()
 
+    @staticmethod
+    def _value(server, document):
+        return SessionState.from_document(
+            document, server.collectors, server.contract
+        )
+
     def test_delta_merges_back_to_current_exactly(self):
         server, previous, current = self._grown_pair()
-        delta = state_dict_delta(current, previous)
+        base = self._value(server, previous)
+        delta = server.state.delta(base)
         merged = LDPServer(SCHEMA, EPSILON, protocols=SPEC)
-        merged.load_state_dict(previous)
-        merged.merge_state_dict(delta)
+        merged.load_state_dict(base.merged(delta).to_document())
         assert merged.state_dict() == current
         _assert_estimates_equal(server.estimate(), merged.estimate())
 
     def test_delta_refuses_non_prefix_and_foreign_pairs(self):
-        _, previous, current = self._grown_pair()
+        server, previous, _ = self._grown_pair()
+        base = self._value(server, previous)
         with pytest.raises(ValueError, match="prefix|users"):
-            state_dict_delta(previous, current)  # swapped: users go down
+            base.delta(server.state)  # swapped: users go down
         foreign = LDPServer(SCHEMA, epsilon=9.0, protocols=SPEC)
         with pytest.raises(ValueError, match="fingerprint|round"):
-            state_dict_delta(current, foreign.state_dict())
-        with pytest.raises(ValueError, match="differs|malformed|mapping"):
-            state_dict_delta(current, {"format": current["format"]})
+            server.state.delta(foreign.state)
+        # A damaged base never becomes a value, so it cannot be diffed.
+        with pytest.raises(ValueError, match="version|malformed|mapping"):
+            self._value(server, {"format": previous["format"]})
         truncated = {
-            key: current[key]
+            key: previous[key]
             for key in ("format", "state_version", "fingerprint")
         }
-        with pytest.raises(ValueError, match="malformed"):
-            state_dict_delta(current, truncated)
+        with pytest.raises(ValueError, match="attributes"):
+            self._value(server, truncated)
 
     def test_push_kind_validation(self):
         _, _, current = self._grown_pair()
@@ -297,14 +305,14 @@ class TestDeltaPushes:
             server = LDPServer(SCHEMA, EPSILON, protocols=SPEC)
             frames = _frames(seed=41)
             server.ingest_encoded(frames[0])
-            previous = server.state_dict()
+            previous = server.state.merged()
             async with await StatePusher.connect(
                 "127.0.0.1", root.port, server.contract, _edge_id(1)
             ) as pusher:
-                assert await pusher.push(previous) == 1
+                assert await pusher.push(previous.to_document()) == 1
                 for frame in frames[1:]:
                     server.ingest_encoded(frame)
-                delta = state_dict_delta(server.state_dict(), previous)
+                delta = server.state.delta(previous).to_document()
                 epoch = await pusher.push(
                     delta, kind="delta", base_epoch=1
                 )
@@ -324,7 +332,7 @@ class TestDeltaPushes:
             server = LDPServer(SCHEMA, EPSILON, protocols=SPEC)
             server.ingest_encoded(_frames(seed=42)[0])
             state = server.state_dict()
-            delta = state_dict_delta(state, state)
+            delta = server.state.delta(server.state).to_document()
             # no snapshot on record yet: any delta is unappliable
             pusher = await StatePusher.connect(
                 "127.0.0.1", root.port, server.contract, _edge_id(1)
@@ -525,6 +533,63 @@ class TestFederatedBitIdentity:
         assert root.edges == 1
         assert edge.pushes_completed == root.pushes_accepted
         _assert_estimates_equal(_reference(frame_lists), root.estimate())
+
+
+class TestNoThrowawayServers:
+    """Pushes, checkpoints and root folds move state values, not servers."""
+
+    @staticmethod
+    def _constructions(tmp_path, frames, monkeypatch):
+        gen = np.random.default_rng(frames)
+        client = LDPClient(SCHEMA, EPSILON, protocols=SPEC)
+        encoded = [
+            client.report_encoded(
+                np.column_stack(
+                    [gen.uniform(-1, 1, 5), gen.uniform(-1, 1, 5), gen.integers(0, 5, 5)]
+                ),
+                gen,
+            )
+            for _ in range(frames)
+        ]
+        calls = []
+        original = LDPServer.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(LDPServer, "__init__", counted)
+
+        async def scenario():
+            root = await _root(store=JsonFileStore(tmp_path / ("root%d.json" % frames)))
+            edge = await _edge(
+                root.port,
+                edge_id=_edge_id(1),
+                store=JsonFileStore(tmp_path / ("edge%d.json" % frames)),
+                checkpoint_every_frames=4,
+                push_every_frames=4,
+            )
+            await replay_frames(
+                "127.0.0.1", edge.port, root.contract, encoded, _sender_id(1)
+            )
+            await edge.stop()
+            await root.wait_for_users(5 * frames)
+            await root.stop()
+            return root, edge
+
+        root, edge = asyncio.run(scenario())
+        assert edge.pushes_completed >= 2
+        assert root.pushes_accepted == edge.pushes_completed
+        root.estimate()
+        return len(calls), edge.pushes_completed
+
+    def test_construction_count_does_not_grow_with_the_round(
+        self, tmp_path, monkeypatch
+    ):
+        short, short_pushes = self._constructions(tmp_path, 16, monkeypatch)
+        long, long_pushes = self._constructions(tmp_path, 64, monkeypatch)
+        assert long_pushes > short_pushes
+        assert short == long == 3  # two edge shards and the root's view
 
 
 class TestFederationHandshake:
@@ -793,6 +858,41 @@ class TestCrashRecovery:
         assert root.edges == 1
         assert root.pushes_rejected == 0
         _assert_estimates_equal(_reference(frame_lists), root.estimate())
+
+    def _recover_from(self, tmp_path, name, state):
+        """A root over a store whose only edge record holds ``state``."""
+        store = JsonFileStore(tmp_path / name)
+        store.save(
+            federation_checkpoint_document(
+                _contract(), {_edge_id(1): (3, state, {})}
+            )
+        )
+        return RootAggregator(SCHEMA, EPSILON, protocols=SPEC, store=store)
+
+    def test_root_refuses_damaged_recovered_edge_state(self, tmp_path):
+        """A recovered edge state is validated in start(), before the
+        root listens — not later, from estimate(), after acking its
+        epoch as the edge's watermark."""
+        server = LDPServer(SCHEMA, EPSILON, protocols=SPEC)
+        server.ingest_encoded(_frames(seed=52)[0])
+        dropped = server.state_dict()
+        del dropped["attributes"]["b"]
+        lots = server.state_dict()
+        lots["users"] = "lots"
+        for name, state in (("dropped.json", dropped), ("lots.json", lots)):
+            root = self._recover_from(tmp_path, name, state)
+            with pytest.raises(CheckpointCorruptError):
+                asyncio.run(root.start())
+            assert root._tcp is None  # never listened
+            assert root.edges == 0 and root.users == 0
+
+    def test_root_refuses_foreign_recovered_edge_state(self, tmp_path):
+        foreign = LDPServer(SCHEMA, epsilon=9.0, protocols=SPEC)
+        root = self._recover_from(tmp_path, "foreign.json", foreign.state_dict())
+        with pytest.raises(ContractMismatchError):
+            asyncio.run(root.start())
+        assert root._tcp is None
+        assert root.edges == 0
 
     def test_durable_before_ack_poisons_on_store_failure(self, tmp_path):
         """A root that cannot persist a fold refuses the push and every

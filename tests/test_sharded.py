@@ -29,6 +29,7 @@ from repro.session import (
     LDPServer,
     NumericAttribute,
     Schema,
+    SessionState,
     ShardedServer,
     StreamingSum,
 )
@@ -188,7 +189,8 @@ class TestCrossTopologyMerges:
         _assert_estimates_equal(one_shot.estimate(), second.estimate())
 
     def test_merge_state_dict_folds_instead_of_replacing(self):
-        """The additive verb: two halves fold into one running server."""
+        """The additive verb, on values: a restored snapshot merges into
+        a running server's state instead of replacing it."""
         schema, spec = _session("grr")
         _, batches = _batches(schema, spec, count=4, users=100)
         one_shot = LDPServer(schema, epsilon=2.0, protocols=spec)
@@ -197,18 +199,25 @@ class TestCrossTopologyMerges:
         left.ingest(batches[:2])
         right = LDPServer(schema, epsilon=2.0, protocols=spec)
         right.ingest(batches[2:])
-        left.merge_state_dict(right.state_dict())
+        snapshot = SessionState.from_document(
+            right.state_dict(), left.collectors, left.contract
+        )
+        left.load_state_dict(left.state.merged(snapshot).to_document())
         _assert_estimates_equal(one_shot.estimate(), left.estimate(), "plain")
         # Same through a ShardedServer (lands on shard 0, invisible in
         # the merged estimate), and a foreign snapshot is still refused.
         sharded = ShardedServer(schema, epsilon=2.0, protocols=spec, shards=2)
-        sharded.merge_state_dict(left.state_dict())
+        sharded.load_state_dict(sharded.state.merged(left.state).to_document())
         _assert_estimates_equal(
             one_shot.estimate(), sharded.estimate(), "sharded"
         )
         foreign = LDPServer(schema, epsilon=3.0, protocols=spec)
         with pytest.raises(ContractMismatchError):
-            sharded.merge_state_dict(foreign.state_dict())
+            sharded.state.merged(foreign.state)
+        with pytest.raises(ContractMismatchError):
+            SessionState.from_document(
+                foreign.state_dict(), left.collectors, sharded.contract
+            )
 
     def test_states_restored_from_different_backends_merge_identically(
         self, tmp_path
@@ -230,8 +239,13 @@ class TestCrossTopologyMerges:
                 server.ingest(half)
                 store.save(server.state_dict())
             merged = LDPServer(schema, epsilon=2.0, protocols=spec)
-            for store in stores:
-                merged.merge_state_dict(store.recover())
+            halves = [
+                SessionState.from_document(
+                    store.recover(), merged.collectors, merged.contract
+                )
+                for store in stores
+            ]
+            merged.load_state_dict(merged.state.merged(*halves).to_document())
         finally:
             for store in stores:
                 store.close()
