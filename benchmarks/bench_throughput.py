@@ -322,7 +322,7 @@ def test_socket_ingest_throughput(benchmark, results_dir):
 # Checkpoint stores: round checkpoint save → recover, per backend
 # --------------------------------------------------------------------------
 
-CHECKPOINT_BACKENDS = ("file", "sqlite", "segments")
+CHECKPOINT_BACKENDS = ("file", "segments")
 #: Conservative floor (write+recover round-trips/second): a gateway at
 #: ``--checkpoint-every 1`` pays one write per acked frame, so a backend
 #: slower than this would dominate the socket path's frame rate.
@@ -345,7 +345,6 @@ def test_checkpoint_store_throughput(benchmark, results_dir, tmp_path, backend):
     checkpoint_bytes = len(encode_document(document))
     uri = {
         "file": "file://%s" % (tmp_path / "bench.json"),
-        "sqlite": "sqlite://%s" % (tmp_path / "bench.db"),
         "segments": "segments://%s" % (tmp_path / "bench-segments"),
     }[backend]
 

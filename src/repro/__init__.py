@@ -51,8 +51,8 @@ Quickstart::
     print(estimate.frequencies("top_app"))          # private frequencies
 
 The pre-session entry points (:class:`MeanEstimationPipeline`,
-:class:`FrequencyEstimationPipeline`, :class:`FrequencyEstimator`) remain
-as thin facades over the session layer.
+:class:`FrequencyEstimator`) remain as thin facades over the session
+layer.
 """
 
 from .analysis import (
@@ -124,10 +124,7 @@ from .mechanisms import (
     register_protocol,
 )
 from .protocol import (
-    Aggregator,
     BudgetPlan,
-    Client,
-    FrequencyEstimationPipeline,
     MeanEstimationPipeline,
 )
 from .session import (
@@ -143,11 +140,9 @@ from .session import (
     ShardedServer,
 )
 from .storage import (
-    AutoCheckpointer,
     CheckpointStore,
     JsonFileStore,
     SegmentLogStore,
-    SqliteStore,
     open_store,
 )
 from .telemetry import (
@@ -184,17 +179,14 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AggregationError",
-    "Aggregator",
     "AsyncReportSender",
     "AttributeEstimate",
-    "AutoCheckpointer",
     "BerryEsseenBound",
     "BudgetPlan",
     "CalibrationError",
     "CategoricalAttribute",
     "CheckpointCorruptError",
     "CheckpointStore",
-    "Client",
     "CollectionContract",
     "CollectionGateway",
     "CollectionProtocol",
@@ -205,7 +197,6 @@ __all__ = [
     "DistributionError",
     "DomainError",
     "DuchiMechanism",
-    "FrequencyEstimationPipeline",
     "FrequencyEstimator",
     "FrequencyOracle",
     "Gauge",
@@ -235,7 +226,6 @@ __all__ = [
     "SegmentLogStore",
     "SessionEstimate",
     "ShardedServer",
-    "SqliteStore",
     "SquareWaveMechanism",
     "StaircaseMechanism",
     "StateDeltaError",

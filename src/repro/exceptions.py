@@ -83,7 +83,7 @@ class StorageError(ReproError, RuntimeError):
     Covers unusable store locations (unknown URI schemes, unwritable
     directories), backend failures surfaced during a save, and requests a
     store cannot honour (loading from a store that was never written).
-    Raw backend exceptions (``sqlite3``, ``json``, ``OSError`` from the
+    Raw backend exceptions (``json``, ``OSError`` from the
     backend's own files) never escape a :class:`~repro.storage.
     CheckpointStore` — they arrive as this type or as
     :class:`CheckpointCorruptError`.

@@ -87,8 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--checkpoint",
         metavar="URI",
         default=None,
-        help="checkpoint store URI: file://PATH, sqlite://PATH, "
-        "segments://DIR, or a bare path (JSON file). In-process: save "
+        help="checkpoint store URI: file://PATH, segments://DIR, or a "
+        "bare path (JSON file). In-process: save "
         "the server state mid-stream, restore into a fresh server and "
         "resume (bit-identical estimates either way). With --serve: "
         "make the round durable — checkpoint per --checkpoint-every "

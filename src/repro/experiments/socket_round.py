@@ -214,8 +214,8 @@ def run_collection_gateway(
     socket is bound, holding the bare port number) lets scripts start
     the server on port 0 and discover where it landed.
 
-    ``checkpoint`` (a storage URI: ``file://``, ``sqlite://``,
-    ``segments://``, or a bare JSON-file path) makes the round durable:
+    ``checkpoint`` (a storage URI: ``file://``, ``segments://``, or a
+    bare JSON-file path) makes the round durable:
     the gateway checkpoints every ``checkpoint_every`` accepted frames
     (default 1 — every ack is durable) and resumes from the newest
     intact checkpoint on start, so a killed-and-restarted gateway

@@ -87,7 +87,13 @@ class ValueDistribution:
             return cls(values, counts / arr.size)
         if bins < 1:
             raise DistributionError("bins must be >= 1, got %d" % bins)
-        counts, edges = np.histogram(arr, bins=int(bins))
+        try:
+            counts, edges = np.histogram(arr, bins=int(bins))
+        except ValueError:  # numpy's "Too many bins for data range"
+            raise DistributionError(
+                "data range [%r, %r] cannot be split into %d finite-width bins"
+                % (float(arr.min()), float(arr.max()), bins)
+            ) from None
         mids = 0.5 * (edges[:-1] + edges[1:])
         keep = counts > 0
         return cls(mids[keep], counts[keep] / arr.size)

@@ -3,11 +3,9 @@
 Public surface:
 
 * :class:`BudgetPlan` — ``ε/m`` and ``ε/2m`` budget arithmetic;
-* :class:`Client` / :class:`Report` — reference user-side implementation;
-* :class:`Aggregator` / :class:`AggregationResult` — streaming collector;
-* :class:`MeanEstimationPipeline` — vectorized end-to-end simulation, plus
-  the bridge to the Theorem 1 deviation model and HDR4ME;
-* :class:`FrequencyEstimationPipeline` — the Section V-C analogue.
+* :class:`MeanEstimationPipeline` — vectorized end-to-end simulation
+  returning an :class:`AggregationResult`, plus the bridge to the
+  Theorem 1 deviation model and HDR4ME.
 """
 
 from .allocation import (
@@ -18,30 +16,24 @@ from .allocation import (
     allocated_pipeline_run,
 )
 from .budget import BudgetPlan
-from .client import Client, Report
 from .moments import VarianceEstimate, VarianceEstimationPipeline, true_variance
 from .pipeline import (
     DEFAULT_CHUNK_SIZE,
-    FrequencyEstimationPipeline,
+    AggregationResult,
     MeanEstimationPipeline,
     PipelineResult,
     build_populations,
 )
-from .server import AggregationResult, Aggregator
 from .setvalued import PaddingAndSampling, SetValuedEstimate, item_frequencies
 
 __all__ = [
     "AggregationResult",
-    "Aggregator",
     "BudgetAllocation",
     "BudgetPlan",
-    "Client",
     "DEFAULT_CHUNK_SIZE",
-    "FrequencyEstimationPipeline",
     "MeanEstimationPipeline",
     "PaddingAndSampling",
     "PipelineResult",
-    "Report",
     "SetValuedEstimate",
     "SignalProportionalAllocation",
     "UniformAllocation",

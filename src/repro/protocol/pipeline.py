@@ -1,12 +1,12 @@
-"""End-to-end simulation pipelines (users → reports → collector → mean).
+"""End-to-end mean-estimation simulation (users → reports → collector → mean).
 
-Both pipelines are now thin, backward-compatible facades over the
-canonical session API (:mod:`repro.session`): they build a typed
-:class:`~repro.session.Schema`, drive an :class:`~repro.session.LDPClient`
-in chunks and stream the resulting report batches into an
+:class:`MeanEstimationPipeline` is a thin facade over the canonical
+session API (:mod:`repro.session`): it builds a typed
+:class:`~repro.session.Schema`, drives an :class:`~repro.session.LDPClient`
+in chunks and streams the resulting report batches into an
 :class:`~repro.session.LDPServer`. New code should use the session API
 directly — it handles mixed numeric+categorical schemas, incremental
-ingestion and composable re-calibration; these classes remain for the
+ingestion and composable re-calibration; the facade remains for the
 established experiment drivers and scripts.
 
 :class:`MeanEstimationPipeline` reproduces the paper's collection protocol
@@ -20,12 +20,6 @@ value distributions of the data (or the data itself, which it discretizes),
 :meth:`MeanEstimationPipeline.deviation_model` returns the Theorem 1 model
 for exactly this configuration — which is what HDR4ME's λ* selection
 consumes.
-
-:class:`FrequencyEstimationPipeline` is the Section V-C analogue for
-categorical data. Its users sample exactly ``m`` of the ``d`` categorical
-dimensions (matching the budget split ``ε/m`` — the historical
-per-dimension Bernoulli(``m/d``) sampling could let a user report more
-than ``m`` dimensions and overspend ``ε``).
 """
 
 from __future__ import annotations
@@ -35,21 +29,47 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..exceptions import DimensionError
+from ..exceptions import DimensionError, DistributionError
 from ..framework.multivariate import (
     MultivariateDeviationModel,
     build_multivariate_model,
 )
 from ..framework.population import DEFAULT_BINS, ValueDistribution
-from ..hdr4me.frequency import FrequencyEstimate
-from ..hdr4me.recalibrator import RecalibrationResult, Recalibrator
 from ..mechanisms.base import BLOCK_ENTRIES, Mechanism
 from ..rng import RngLike, ensure_rng
 from .budget import BudgetPlan
-from .server import AggregationResult
 
 #: Users processed per vectorized chunk.
 DEFAULT_CHUNK_SIZE = 8192
+
+
+@dataclass(frozen=True)
+class AggregationResult:
+    """The collector's output for one collection round.
+
+    Attributes
+    ----------
+    theta_hat:
+        Estimated mean per dimension (calibrated where possible).
+    report_counts:
+        Number of reports received per dimension (``r_j``).
+    epsilon_per_dimension:
+        Budget each report spent per dimension.
+    """
+
+    theta_hat: np.ndarray
+    report_counts: np.ndarray
+    epsilon_per_dimension: float
+
+    @property
+    def dimensions(self) -> int:
+        """Number of aggregated dimensions ``d``."""
+        return int(self.theta_hat.size)
+
+    @property
+    def min_reports(self) -> int:
+        """Smallest per-dimension report count (framework ``r``)."""
+        return int(self.report_counts.min())
 
 
 @dataclass(frozen=True)
@@ -87,16 +107,23 @@ def build_populations(
     :meth:`ValueDistribution.from_data` on each column: the same edges
     (``np.linspace`` between the column's extremes, a constant column
     widened by ±0.5) and ``np.histogram``'s index-and-edge correction.
-    Inputs that ``from_data`` rejects or treats specially (``bins=None``,
-    ``bins < 1``, no rows, non-finite values, ranges too narrow for the
-    bins) go column by column through ``from_data`` itself.
+    Non-finite values anywhere in ``data`` are refused before any column
+    is binned. Inputs that ``from_data`` rejects or treats specially
+    (``bins=None``, ``bins < 1``, no rows, ranges too narrow for the bins)
+    go column by column through ``from_data`` itself.
     """
     matrix = np.asarray(data, dtype=np.float64)
     if matrix.ndim != 2:
         raise DimensionError("data must be an (n, d) matrix")
     histogram = None
-    if bins is not None and bins >= 1 and matrix.size:
-        histogram = _histograms(matrix, int(bins))
+    if matrix.size:
+        low, high = matrix.min(axis=0), matrix.max(axis=0)
+        # A NaN propagates into both extremes and an infinity is one, so
+        # this refuses non-finite values anywhere in the matrix.
+        if not (np.isfinite(low).all() and np.isfinite(high).all()):
+            raise DistributionError("data column holds NaN or infinite values")
+        if bins is not None and bins >= 1:
+            histogram = _histograms(matrix, int(bins), low, high)
     if histogram is None:
         return [
             ValueDistribution.from_data(matrix[:, j], bins)
@@ -115,19 +142,16 @@ def build_populations(
 
 
 def _histograms(
-    matrix: np.ndarray, bins: int
+    matrix: np.ndarray, bins: int, low: np.ndarray, high: np.ndarray
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Per-column ``np.histogram(column, bins)`` of a finite matrix, at once.
 
-    Returns ``(counts, edges)`` of shapes ``(d, bins)`` and
-    ``(d, bins + 1)``, or ``None`` when some column is not finite or
-    its range overflows or is too narrow for ``bins`` finite-width bins
-    (the cases ``np.histogram`` handles on its own paths).
+    ``low`` and ``high`` are the per-column minima and maxima. Returns ``(counts, edges)`` of shapes ``(d, bins)`` and
+    ``(d, bins + 1)``, or ``None`` when some column's range overflows or
+    is too narrow for ``bins`` finite-width bins (the cases
+    ``np.histogram`` handles on its own paths).
     """
     users, dimensions = matrix.shape
-    low, high = matrix.min(axis=0), matrix.max(axis=0)
-    if not (np.isfinite(low).all() and np.isfinite(high).all()):
-        return None
     constant = low == high
     low = np.where(constant, low - 0.5, low)
     high = np.where(constant, high + 0.5, high)
@@ -268,14 +292,6 @@ class MeanEstimationPipeline:
         )
         return PipelineResult(aggregation=aggregation, plan=self.plan, users=users)
 
-    def _sample_mask(self, batch: int, gen: np.random.Generator) -> np.ndarray:
-        """Boolean ``(batch, d)`` mask with exactly ``m`` True per row."""
-        from ..session.client import sample_attribute_mask
-
-        return sample_attribute_mask(
-            batch, self.plan.dimensions, self.plan.sampled_dimensions, gen
-        )
-
     # ------------------------------------------------------------ framework
 
     def deviation_model(
@@ -302,121 +318,3 @@ class MeanEstimationPipeline:
             populations,
             ndim=self.plan.dimensions,
         )
-
-    def run_enhanced(
-        self,
-        data: np.ndarray,
-        recalibrator: Recalibrator,
-        rng: RngLike = None,
-        populations: Union[
-            ValueDistribution, Sequence[ValueDistribution], None
-        ] = None,
-        bins: Optional[int] = DEFAULT_BINS,
-    ) -> RecalibrationResult:
-        """Run the protocol and apply HDR4ME in one call (convenience)."""
-        result = self.run(data, rng)
-        model = self.deviation_model(
-            users=result.users,
-            populations=populations,
-            data=data if (populations is None and self.mechanism.bounded) else None,
-            bins=bins,
-        )
-        return recalibrator.recalibrate(result.theta_hat, model)
-
-
-class FrequencyEstimationPipeline:
-    """Section V-C protocol for ``d`` categorical dimensions.
-
-    Each user samples exactly ``m`` of the ``d`` categorical dimensions
-    and submits the histogram-encoded, per-entry-perturbed vector for
-    each; the collector converts entry means back into per-category
-    frequencies.
-
-    Parameters
-    ----------
-    mechanism:
-        Any mechanism (re-domained internally to the unit interval).
-    epsilon:
-        Collective privacy budget.
-    category_counts:
-        Sequence ``v_j``: number of categories in each dimension.
-    sampled_dimensions:
-        The ``m`` of the protocol; defaults to all dimensions.
-    recalibrator:
-        Optional HDR4ME recalibrator applied per dimension.
-    """
-
-    def __init__(
-        self,
-        mechanism: Mechanism,
-        epsilon: float,
-        category_counts: Sequence[int],
-        sampled_dimensions: Optional[int] = None,
-        recalibrator: Optional[Recalibrator] = None,
-    ) -> None:
-        counts = [int(v) for v in category_counts]
-        if not counts:
-            raise DimensionError("need at least one categorical dimension")
-        d = len(counts)
-        m = d if sampled_dimensions is None else int(sampled_dimensions)
-        self.plan = BudgetPlan(epsilon=epsilon, dimensions=d, sampled_dimensions=m)
-        self.category_counts = counts
-        self.mechanism = mechanism
-        self.recalibrator = recalibrator
-
-    def run(
-        self, categories: np.ndarray, rng: RngLike = None
-    ) -> List[FrequencyEstimate]:
-        """Estimate frequencies for every categorical dimension.
-
-        Parameters
-        ----------
-        categories:
-            ``(n, d)`` integer matrix of category labels.
-        """
-        from ..session.adapters import MechanismProtocol
-        from ..session.client import LDPClient
-        from ..session.schema import CategoricalAttribute, Schema
-        from ..session.server import LDPServer
-
-        gen = ensure_rng(rng)
-        labels = np.asarray(categories)
-        if labels.ndim != 2 or labels.shape[1] != self.plan.dimensions:
-            raise DimensionError(
-                "expected (n, %d) labels, got %s"
-                % (self.plan.dimensions, np.shape(categories))
-            )
-        schema = Schema(
-            [
-                CategoricalAttribute("q%d" % j, n_categories=v)
-                for j, v in enumerate(self.category_counts)
-            ]
-        )
-        protocol = MechanismProtocol(self.mechanism)
-        client = LDPClient(
-            schema,
-            self.plan.epsilon,
-            sampled_attributes=self.plan.sampled_dimensions,
-            protocols=protocol,
-        )
-        server = LDPServer(
-            schema,
-            self.plan.epsilon,
-            sampled_attributes=self.plan.sampled_dimensions,
-            protocols=protocol,
-        )
-        users = labels.shape[0]
-        for start in range(0, users, DEFAULT_CHUNK_SIZE):
-            chunk = labels[start : start + DEFAULT_CHUNK_SIZE]
-            server.ingest(client.report_batch(chunk, gen))
-        estimate = server.estimate(postprocess=self.recalibrator)
-        return [
-            FrequencyEstimate(
-                raw=attr.raw,
-                entry_means=attr.entry_means,
-                enhanced=attr.enhanced,
-                epsilon_per_entry=self.plan.epsilon_per_entry,
-                reports=attr.reports,
-            )
-            for attr in estimate.attributes
-        ]

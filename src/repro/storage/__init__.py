@@ -1,19 +1,17 @@
 """Durable checkpoint storage for collection rounds.
 
-One interface, three backends:
+One interface, two backends:
 
-* :class:`JsonFileStore` (``file://``) — one atomic JSON file; the
-  library-wide home of the temp-file-and-rename logic the session layer
-  used to hand-roll;
-* :class:`SqliteStore` (``sqlite://``) — a generational table of
-  CRC-sealed documents with bounded history;
+* :class:`JsonFileStore` (``file://``) — one atomic, fsynced JSON file;
+  the library-wide home of the temp-file-and-rename logic the session
+  layer used to hand-roll;
 * :class:`SegmentLogStore` (``segments://``) — an append-only CRC-framed
-  segment log with compaction, the write-optimized choice for
-  high-frequency auto-checkpointing.
+  segment log with compaction and history to recover past a damaged
+  newest record, the write-optimized choice for high-frequency
+  checkpointing.
 
 :func:`open_store` resolves a ``scheme://path`` URI (a bare path means
-``file``); :class:`AutoCheckpointer` snapshots a server every N frames
-and/or T seconds; :func:`round_checkpoint_document` /
+``file``); :func:`round_checkpoint_document` /
 :func:`parse_round_checkpoint` carry the socket gateway's state *plus*
 per-sender acknowledgement watermarks, so a restarted gateway resumes
 exactly and deduplicates replayed frames.
@@ -25,7 +23,6 @@ Every backend raises typed errors only:
 written under a different collection contract.
 """
 
-from .auto import AutoCheckpointer
 from .base import (
     CheckpointStore,
     decode_document,
@@ -45,11 +42,9 @@ from .segments import (
     RECORD_MAGIC,
     SegmentLogStore,
 )
-from .sqlite import SqliteStore
 from .uri import open_store, parse_storage_uri
 
 __all__ = [
-    "AutoCheckpointer",
     "CheckpointStore",
     "DEFAULT_COMPACT_EVERY",
     "DEFAULT_SEGMENT_MAX_BYTES",
@@ -58,7 +53,6 @@ __all__ = [
     "ROUND_FORMAT",
     "ROUND_VERSION",
     "SegmentLogStore",
-    "SqliteStore",
     "decode_document",
     "document_crc",
     "encode_document",

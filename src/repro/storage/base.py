@@ -19,15 +19,14 @@ every backend honours:
   crash mid-append, not an error). Resuming from an older checkpoint is
   always safe for collection rounds — watermarks are lower, so senders
   replay the difference — whereas resuming from a damaged one never is;
-* no raw backend exception (``json``, ``sqlite3``, backend ``OSError``)
+* no raw backend exception (``json``, backend ``OSError``)
   escapes — everything arrives typed as
   :class:`~repro.exceptions.StorageError` or its corruption subclass.
 
 Backends: :class:`~repro.storage.JsonFileStore` (atomic single-document
-file), :class:`~repro.storage.SqliteStore` (generational table),
-:class:`~repro.storage.SegmentLogStore` (append-only CRC-framed segment
-log with compaction). :func:`~repro.storage.open_store` resolves
-``file://`` / ``sqlite://`` / ``segments://`` URIs onto them.
+file) and :class:`~repro.storage.SegmentLogStore` (append-only CRC-framed
+segment log with compaction). :func:`~repro.storage.open_store` resolves
+``file://`` / ``segments://`` URIs onto them.
 """
 
 from __future__ import annotations
@@ -94,14 +93,13 @@ def document_crc(blob: bytes) -> int:
 class CheckpointStore(abc.ABC):
     """Durable storage for a sequence of checkpoint documents.
 
-    Use as a context manager so backend handles (sqlite connections,
-    open segment files) cannot leak::
+    Use as a context manager so backend handles cannot leak::
 
-        with open_store("sqlite://round.db") as store:
+        with open_store("segments://round-log") as store:
             store.save(server.state_dict())
     """
 
-    #: URI scheme this backend answers to (``file``/``sqlite``/``segments``).
+    #: URI scheme this backend answers to (``file``/``segments``).
     scheme: str = ""
 
     def __init__(self) -> None:

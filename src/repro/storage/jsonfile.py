@@ -2,9 +2,12 @@
 
 The simplest durable backend: one file, holding the latest checkpoint
 document as canonical JSON. Writes go through a temp-file-and-rename in
-the target's own directory, so a crash mid-save can never destroy the
-previous good checkpoint, and a failed write removes its scratch file
-instead of leaving a stale partial ``.tmp`` beside the target — this
+the target's own directory: the scratch file is fsynced before the
+rename and the directory after it (where the platform can open one), so
+a document is on disk once ``save`` returns and a crash mid-save can
+never destroy the previous good checkpoint. A failed write removes its
+scratch file instead of leaving a stale partial ``.tmp`` beside the
+target — this
 store is the library-wide home of what used to be ad-hoc logic inside
 :meth:`~repro.session.LDPServer.save_state` (which now delegates here,
 as does :meth:`~repro.session.ShardedServer.save_state`).
@@ -25,6 +28,15 @@ from ..exceptions import StorageError
 from .base import CheckpointStore, decode_document, encode_document
 
 
+def _fsync(path: Union[str, pathlib.Path], flags: int) -> None:
+    """Flush ``path`` (a file, or a directory with ``O_DIRECTORY``) to disk."""
+    fd = os.open(path, flags)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class JsonFileStore(CheckpointStore):
     """Latest-checkpoint-only store over one atomic JSON file."""
 
@@ -43,6 +55,7 @@ class JsonFileStore(CheckpointStore):
         scratch = self.path.with_name(self.path.name + ".tmp")
         try:
             scratch.write_text(blob.decode("utf-8") + "\n")
+            _fsync(scratch, os.O_RDWR)
             os.replace(scratch, self.path)
         # repro: allow[broad-except] -- cleanup-and-reraise: the atomic
         # save's scratch file must not survive any failure (including
@@ -51,28 +64,35 @@ class JsonFileStore(CheckpointStore):
             with contextlib.suppress(OSError):
                 scratch.unlink()
             raise
+        if hasattr(os, "O_DIRECTORY"):  # make the rename itself durable
+            _fsync(self.path.parent, os.O_RDONLY | os.O_DIRECTORY)
         self._observe_op("save", started, len(blob))
         return len(blob)
 
     def load(self) -> Optional[Dict[str, Any]]:
         started = self.telemetry.clock()
-        try:
-            blob = self.path.read_bytes()
-        except FileNotFoundError:
-            return None
-        document = decode_document(blob, "checkpoint file %s" % self.path)
-        self._observe_op("load", started)
+        document = self._read()
+        if document is not None:
+            self._observe_op("load", started)
         return document
 
     def recover(self) -> Optional[Dict[str, Any]]:
         # One document, atomically replaced: there is no older record to
-        # fall back to, so recovery is exactly the strict load.
+        # fall back to, so recovery is exactly the strict read.
         started = self.telemetry.clock()
-        document = self.load()
+        document = self._read()
         self._observe_op("recover", started)
         return document
 
     # ------------------------------------------------------------- helpers
+
+    def _read(self) -> Optional[Dict[str, Any]]:
+        """The stored document, or ``None`` for a missing file (unobserved)."""
+        try:
+            blob = self.path.read_bytes()
+        except FileNotFoundError:
+            return None
+        return decode_document(blob, "checkpoint file %s" % self.path)
 
     def load_required(self) -> Dict[str, Any]:
         """Like :meth:`load`, but a missing file is an error.

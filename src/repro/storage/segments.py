@@ -1,6 +1,6 @@
 """Append-only segment-log checkpoint store with CRC framing + compaction.
 
-The write-optimized backend for high-frequency auto-checkpointing: every
+The write-optimized backend for high-frequency checkpointing: every
 ``save`` *appends* one CRC-framed record to the newest segment file —
 no rewrite of earlier bytes, so a crash mid-append can only tear the
 final record, never a previously durable checkpoint. Segments roll over

@@ -4,7 +4,6 @@ The collection CLI (and anything else configured by flat strings) names
 its durable state as ``scheme://path``::
 
     file://round.json       atomic single-document JSON file
-    sqlite://round.db       generational sqlite table
     segments://round-log/   append-only CRC-framed segment log
 
 A bare path with no ``://`` keeps working as the JSON file backend, so
@@ -20,11 +19,9 @@ from ..exceptions import StorageError
 from .base import CheckpointStore
 from .jsonfile import JsonFileStore
 from .segments import SegmentLogStore
-from .sqlite import SqliteStore
 
 _BACKENDS = {
     JsonFileStore.scheme: JsonFileStore,
-    SqliteStore.scheme: SqliteStore,
     SegmentLogStore.scheme: SegmentLogStore,
 }
 

@@ -68,12 +68,14 @@ class TestSingleCatchAll:
             Recalibrator(norm="l7")
 
     def test_aggregation_error_caught_as_repro_error(self):
-        from repro.mechanisms import LaplaceMechanism
-        from repro.protocol import Aggregator, BudgetPlan
+        from repro.session import LDPServer, NumericAttribute, Schema
 
-        plan = BudgetPlan(epsilon=1.0, dimensions=2, sampled_dimensions=1)
-        with pytest.raises(ReproError):
-            Aggregator(LaplaceMechanism(), plan).aggregate()
+        schema = Schema([NumericAttribute("a"), NumericAttribute("b")])
+        server = LDPServer(schema, 1.0, sampled_attributes=1,
+                           protocols="laplace")
+        with pytest.raises(ReproError) as caught:
+            server.estimate()
+        assert isinstance(caught.value, AggregationError)
 
 
 class TestTypedRaisesAcrossTheLibrary:

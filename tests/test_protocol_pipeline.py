@@ -1,4 +1,9 @@
-"""Tests for the vectorized end-to-end pipelines."""
+"""Tests for the vectorized end-to-end mean pipeline and populations.
+
+Categorical (Section V-C) collection runs on the session API directly:
+``TestFrequencyPipeline`` drives ``LDPClient``/``LDPServer`` over a schema
+of ``CategoricalAttribute`` columns with a histogram-encoding mechanism.
+"""
 
 from __future__ import annotations
 
@@ -8,14 +13,19 @@ import pytest
 from repro.analysis import mse, true_mean
 from hypothesis import given, settings, strategies as st
 
+from reference_protocol import Aggregator, Client
 from repro.exceptions import DimensionError, DistributionError, DomainError
 from repro.framework import ValueDistribution
 from repro.hdr4me import Recalibrator
-from repro.mechanisms import LaplaceMechanism, PiecewiseMechanism, get_mechanism
-from repro.protocol import (
-    FrequencyEstimationPipeline,
-    MeanEstimationPipeline,
-    build_populations,
+from repro.hdr4me.frequency import postprocess_frequencies
+from repro.mechanisms import LaplaceMechanism, PiecewiseMechanism
+from repro.protocol import BudgetPlan, MeanEstimationPipeline, build_populations
+from repro.session import (
+    CategoricalAttribute,
+    LDPClient,
+    LDPServer,
+    Schema,
+    sample_attribute_mask,
 )
 
 
@@ -88,16 +98,11 @@ class TestMeanPipeline:
             )
 
     def test_mask_has_exactly_m_per_row(self, rng):
-        pipeline = MeanEstimationPipeline(
-            LaplaceMechanism(), 1.0, dimensions=12, sampled_dimensions=5
-        )
-        mask = pipeline._sample_mask(200, rng)
+        mask = sample_attribute_mask(200, 12, 5, rng)
         np.testing.assert_array_equal(mask.sum(axis=1), np.full(200, 5))
 
     def test_matches_reference_client_distribution(self, rng):
         """The vectorized path agrees with the per-user reference Client."""
-        from repro.protocol import Aggregator, BudgetPlan, Client
-
         data = np.tile(np.array([-0.4, 0.1, 0.7]), (30_000, 1))
         mech = PiecewiseMechanism()
         pipeline = MeanEstimationPipeline(
@@ -155,53 +160,67 @@ class TestDeviationModelBridge:
         with pytest.raises(DistributionError, match="NaN or infinite"):
             build_populations(data)
 
-    def test_run_enhanced_convenience(self, rng):
+    def test_recalibrated_run_beats_raw(self, rng):
         data = rng.uniform(-1, 1, size=(3000, 50))
         pipeline = MeanEstimationPipeline(LaplaceMechanism(), 0.2, dimensions=50)
-        result = pipeline.run_enhanced(data, Recalibrator(norm="l1"), rng)
+        run = pipeline.run(data, rng)
+        model = pipeline.deviation_model(users=run.users)
+        result = Recalibrator(norm="l1").recalibrate(run.theta_hat, model)
         baseline = pipeline.run(data, rng)
         assert mse(result.theta_star, true_mean(data)) < mse(
             baseline.theta_hat, true_mean(data)
         )
 
 
+def _frequency_round(mechanism, epsilon, category_counts, labels, rng,
+                     sampled_dimensions=None):
+    """One categorical round: ``d`` label columns through the session API,
+    each histogram-encoded and perturbed with the named mechanism."""
+    schema = Schema(
+        [
+            CategoricalAttribute("q%d" % j, n_categories=v)
+            for j, v in enumerate(category_counts)
+        ]
+    )
+    client = LDPClient(
+        schema, epsilon, sampled_attributes=sampled_dimensions,
+        protocols=mechanism,
+    )
+    server = LDPServer(
+        schema, epsilon, sampled_attributes=sampled_dimensions,
+        protocols=mechanism,
+    )
+    server.ingest(client.report_batch(labels, rng))
+    return server.estimate().attributes
+
+
 class TestFrequencyPipeline:
     def test_multi_dimension_estimates(self, rng):
         labels = rng.integers(0, 4, size=(20_000, 3))
-        pipeline = FrequencyEstimationPipeline(
-            get_mechanism("piecewise"), epsilon=8.0, category_counts=[4, 4, 4]
-        )
-        estimates = pipeline.run(labels, rng)
+        estimates = _frequency_round("piecewise", 8.0, [4, 4, 4], labels, rng)
         assert len(estimates) == 3
         for j, estimate in enumerate(estimates):
             truth = np.bincount(labels[:, j], minlength=4) / labels.shape[0]
-            np.testing.assert_allclose(estimate.best(), truth, atol=0.08)
+            np.testing.assert_allclose(
+                postprocess_frequencies(estimate.value), truth, atol=0.08
+            )
 
     def test_sampled_dimensions_reduce_reports(self, rng):
         labels = rng.integers(0, 3, size=(9000, 3))
-        pipeline = FrequencyEstimationPipeline(
-            get_mechanism("laplace"),
-            epsilon=2.0,
-            category_counts=[3, 3, 3],
-            sampled_dimensions=1,
+        estimates = _frequency_round(
+            "laplace", 2.0, [3, 3, 3], labels, rng, sampled_dimensions=1
         )
-        estimates = pipeline.run(labels, rng)
         for estimate in estimates:
             assert estimate.reports < 9000
             assert estimate.reports == pytest.approx(3000, rel=0.2)
 
     def test_label_shape_validated(self, rng):
-        pipeline = FrequencyEstimationPipeline(
-            get_mechanism("laplace"), epsilon=1.0, category_counts=[3, 3]
-        )
         with pytest.raises(DimensionError):
-            pipeline.run(np.zeros((10, 3), dtype=int), rng)
+            _frequency_round("laplace", 1.0, [3, 3], np.zeros((10, 3), dtype=int), rng)
 
-    def test_empty_category_counts_rejected(self):
+    def test_empty_category_counts_rejected(self, rng):
         with pytest.raises(DimensionError):
-            FrequencyEstimationPipeline(
-                get_mechanism("laplace"), epsilon=1.0, category_counts=[]
-            )
+            _frequency_round("laplace", 1.0, [], np.zeros((10, 0)), rng)
 
     def test_no_user_exceeds_m_reports(self, rng):
         """Privacy-accounting regression: exactly m of d dimensions per user.
@@ -214,20 +233,14 @@ class TestFrequencyPipeline:
         """
         users, m = 4000, 2
         labels = rng.integers(0, 3, size=(users, 5))
-        pipeline = FrequencyEstimationPipeline(
-            get_mechanism("laplace"),
-            epsilon=2.0,
-            category_counts=[3] * 5,
-            sampled_dimensions=m,
+        estimates = _frequency_round(
+            "laplace", 2.0, [3] * 5, labels, rng, sampled_dimensions=m
         )
-        estimates = pipeline.run(labels, rng)
         assert sum(e.reports for e in estimates) == users * m
         assert all(e.reports <= users for e in estimates)
 
     def test_per_user_sampling_mask_never_exceeds_m(self, rng):
         """The sampling primitive itself guarantees the per-user cap."""
-        from repro.session import sample_attribute_mask
-
         mask = sample_attribute_mask(1000, 7, 3, rng)
         assert mask.sum(axis=1).max() == 3
 
@@ -328,3 +341,16 @@ def test_build_populations_edge_shapes(data, bins):
 def test_build_populations_fig4_shape():
     data = np.random.default_rng(0).uniform(-1, 1, size=(5000, 60))
     _assert_same(data, 32)
+
+
+def test_build_populations_refuses_non_finite_before_binning():
+    # The first column's range is one ulp: binning it into 4096 bins would
+    # fail before the NaN in the second column was ever looked at.
+    data = [[1.0, np.nan], [np.nextafter(1.0, 2.0), 0.0]]
+    with pytest.raises(DistributionError, match="NaN or infinite"):
+        build_populations(data, 4096)
+
+
+def test_from_data_range_too_narrow_for_bins_is_typed():
+    with pytest.raises(DistributionError, match="4096 finite-width bins"):
+        ValueDistribution.from_data([1.0, np.nextafter(1.0, 2.0)], 4096)

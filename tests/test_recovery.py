@@ -34,7 +34,6 @@ from repro.session import (
 from repro.storage import (
     JsonFileStore,
     SegmentLogStore,
-    SqliteStore,
     encode_document,
     parse_round_checkpoint,
     round_checkpoint_document,
@@ -130,13 +129,11 @@ async def _crash(gateway):
 def _store_for(backend, tmp_path):
     if backend == "file":
         return JsonFileStore(tmp_path / "round.json")
-    if backend == "sqlite":
-        return SqliteStore(tmp_path / "round.db")
     return SegmentLogStore(tmp_path / "round-log")
 
 
 class TestKillAndResume:
-    @pytest.mark.parametrize("backend", ["file", "sqlite", "segments"])
+    @pytest.mark.parametrize("backend", ["file", "segments"])
     def test_killed_gateway_resumes_bit_identical(self, backend, tmp_path):
         """Acceptance: kill mid-round, restart (different shard count),
         replay every sender — estimates bit-identical to an
@@ -194,7 +191,7 @@ class TestKillAndResume:
         frames = _frames(3, batches=6)
 
         async def scenario():
-            store = SqliteStore(tmp_path / "round.db")
+            store = SegmentLogStore(tmp_path / "round-log")
             first = await _gateway(store=store, checkpoint_every=1)
             sender = await AsyncReportSender.connect(
                 "127.0.0.1", first.port, _contract(), sender_id=SENDER_ONE
@@ -423,8 +420,7 @@ class TestDurability:
 
 
 class TestCheckpointTimerEdges:
-    """Satellite: the gateway's timer trigger and the in-process
-    AutoCheckpointer, at their edges."""
+    """Satellite: the gateway's timer trigger at its edges."""
 
     def test_timer_checkpoint_failure_poisons_gateway_and_stops_acks(
         self, tmp_path
@@ -475,66 +471,6 @@ class TestCheckpointTimerEdges:
         assert snapshot["counters"]["frames_accepted"] == 1
         rejected = snapshot["metrics"]["gateway_frames_rejected_total"]
         assert rejected["values"].get("reason=poisoned") == 1.0
-
-    def test_auto_time_trigger_is_evaluated_on_ingest_not_idle(
-        self, tmp_path
-    ):
-        """The AutoCheckpointer's time trigger fires on the first frame
-        after the period elapsed — never while the server sits idle."""
-        from repro.storage import AutoCheckpointer
-
-        clock = _FakeClock()
-        server = LDPServer(SCHEMA, EPSILON, protocols=SPEC)
-        store = JsonFileStore(tmp_path / "auto.json")
-        auto = AutoCheckpointer(
-            server, store, every_seconds=5.0, clock=clock
-        )
-        clock.advance(100)  # long idle: zero new frames, zero writes
-        assert auto.checkpoints_written == 0
-        assert store.recover() is None
-        auto.ingest_encoded(_frames(13, users=30, batches=1)[0])
-        assert auto.checkpoints_written == 1
-        store.close()
-
-    def test_auto_checkpointer_telemetry_agrees_with_folds(self, tmp_path):
-        """Counters triangulate: auto checkpoints written == the plain
-        counter, and the instrumented server's fold totals match the
-        frames actually ingested."""
-        from repro.storage import AutoCheckpointer
-        from repro.telemetry import MetricsRegistry
-
-        registry = MetricsRegistry()
-        server = LDPServer(SCHEMA, EPSILON, protocols=SPEC)
-        server.attach_telemetry(registry)
-        store = JsonFileStore(tmp_path / "auto.json")
-        auto = AutoCheckpointer(
-            server, store, every_frames=2, metrics=registry
-        )
-        frames = _frames(14, users=120, batches=4)
-        for frame in frames:
-            auto.ingest_encoded(frame)
-        assert auto.checkpoints_written == 2
-        shot = registry.snapshot()
-        assert shot["auto_checkpoints_written_total"]["values"][""] == 2.0
-        assert shot["auto_checkpoint_seconds"]["values"][""]["count"] == 2
-        assert shot["server_batches_folded_total"]["values"][""] == 4.0
-        assert shot["server_users_folded_total"]["values"][""] == 120.0
-        # the store was auto-instrumented into the same registry
-        saves = shot["storage_save_seconds"]["values"]["backend=file"]
-        assert saves["count"] == 2
-        assert server.users == 120
-        store.close()
-
-
-class _FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 class TestRestoreValidation:

@@ -222,7 +222,7 @@ class TestCrossTopologyMerges:
     def test_states_restored_from_different_backends_merge_identically(
         self, tmp_path
     ):
-        """file:// and sqlite:// halves of a round merge to one-shot."""
+        """file:// and segments:// halves of a round merge to one-shot."""
         from repro.storage import open_store
 
         schema, spec = _session("olh")
@@ -231,7 +231,7 @@ class TestCrossTopologyMerges:
         one_shot.ingest(batches)
         stores = [
             open_store("file://%s" % (tmp_path / "half.json")),
-            open_store("sqlite://%s" % (tmp_path / "half.db")),
+            open_store("segments://%s" % (tmp_path / "half-log")),
         ]
         try:
             for store, half in zip(stores, (batches[:2], batches[2:])):

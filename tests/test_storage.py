@@ -1,20 +1,18 @@
 """Tests for the repro.storage subpackage (ISSUE 6 tentpole).
 
-The store contract across all three backends: ``save`` is durable and
+The store contract across both backends: ``save`` is durable and
 atomic, ``load`` is strict (damage raises
 :class:`~repro.exceptions.CheckpointCorruptError`, never a raw ``json``
-or ``sqlite3`` exception), ``recover`` steps back to the newest intact
-checkpoint where the backend retains history — and after any corruption
-scenario the store is still readable at its previous checkpoint. Plus
-the URI front door, the document codec, and the AutoCheckpointer
-triggers.
+exception), ``recover`` steps back to the newest intact checkpoint where
+the backend retains history — and after any corruption scenario the
+store is still readable at its previous checkpoint. Plus the URI front
+door and the document codec.
 """
 
 from __future__ import annotations
 
-import json
+import os
 
-import numpy as np
 import pytest
 
 from repro.exceptions import (
@@ -24,16 +22,13 @@ from repro.exceptions import (
 )
 from repro.session import (
     CategoricalAttribute,
-    LDPClient,
     LDPServer,
     NumericAttribute,
     Schema,
 )
 from repro.storage import (
-    AutoCheckpointer,
     JsonFileStore,
     SegmentLogStore,
-    SqliteStore,
     decode_document,
     encode_document,
     open_store,
@@ -51,12 +46,10 @@ EPSILON = 2.0
 def _store_for(backend, tmp_path, **kwargs):
     if backend == "file":
         return JsonFileStore(tmp_path / "ckpt.json", **kwargs)
-    if backend == "sqlite":
-        return SqliteStore(tmp_path / "ckpt.db", **kwargs)
     return SegmentLogStore(tmp_path / "ckpt-log", **kwargs)
 
 
-BACKENDS = ["file", "sqlite", "segments"]
+BACKENDS = ["file", "segments"]
 
 
 class TestStoreContract:
@@ -129,39 +122,6 @@ class TestCorruptionMatrix:
         store.path.write_text("42\n")
         with pytest.raises(CheckpointCorruptError, match="JSON int"):
             store.load()
-
-    def test_sqlite_garbage_file(self, tmp_path):
-        path = tmp_path / "ckpt.db"
-        path.write_bytes(b"this is not a sqlite database at all")
-        store = SqliteStore(path)
-        with pytest.raises(CheckpointCorruptError, match="sqlite"):
-            store.load()
-        with pytest.raises(CheckpointCorruptError):
-            store.recover()
-
-    def test_sqlite_damaged_newest_row_recovers_previous(self, tmp_path):
-        with SqliteStore(tmp_path / "ckpt.db", keep=3) as store:
-            store.save({"round": 1})
-            store.save({"round": 2})
-            store._connect().execute(
-                "UPDATE checkpoints SET document = ? WHERE generation = "
-                "(SELECT MAX(generation) FROM checkpoints)",
-                (b"{torn...",),
-            )
-            store._connection.commit()
-            with pytest.raises(CheckpointCorruptError):
-                store.load()  # strict: damage is reported
-            assert store.recover() == {"round": 1}  # history survives
-
-    def test_sqlite_no_generation_readable(self, tmp_path):
-        with SqliteStore(tmp_path / "ckpt.db") as store:
-            store.save({"round": 1})
-            store._connect().execute(
-                "UPDATE checkpoints SET crc = crc + 1"
-            )
-            store._connection.commit()
-            with pytest.raises(CheckpointCorruptError, match="none is readable"):
-                store.recover()
 
     def test_segments_torn_tail_recovers_previous(self, tmp_path):
         store = SegmentLogStore(tmp_path / "log")
@@ -245,19 +205,6 @@ class TestSegmentLog:
             SegmentLogStore(tmp_path / "log", compact_every=0)
 
 
-class TestSqliteGenerations:
-    def test_history_is_pruned_to_keep(self, tmp_path):
-        with SqliteStore(tmp_path / "ckpt.db", keep=3) as store:
-            for n in range(10):
-                store.save({"round": n})
-            assert store.generations() == 3
-            assert store.load() == {"round": 9}
-
-    def test_keep_must_be_positive(self, tmp_path):
-        with pytest.raises(StorageError):
-            SqliteStore(tmp_path / "ckpt.db", keep=0)
-
-
 class TestJsonFileAtomicity:
     def test_failed_write_cleans_scratch(self, tmp_path, monkeypatch):
         import pathlib
@@ -278,6 +225,38 @@ class TestJsonFileAtomicity:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
         assert store.load() == {"round": 1}
 
+    def test_scratch_file_is_synced_before_the_rename(
+        self, tmp_path, monkeypatch
+    ):
+        """``save`` is durable on return: the scratch file's own fd is
+        fsynced before ``os.replace`` publishes it, and the directory
+        holding the rename after it."""
+        store = JsonFileStore(tmp_path / "ckpt.json")
+        scratch = tmp_path / "ckpt.json.tmp"
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            synced = os.fstat(fd)
+            if scratch.exists() and os.path.samestat(synced, os.stat(scratch)):
+                events.append("fsync scratch")
+            elif os.path.samestat(synced, os.stat(tmp_path)):
+                events.append("fsync directory")
+            real_fsync(fd)
+
+        def replace(source, target):
+            events.append("replace")
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        store.save({"round": 1})
+        expected = ["fsync scratch", "replace"]
+        if hasattr(os, "O_DIRECTORY"):
+            expected.append("fsync directory")
+        assert events == expected
+        assert store.load() == {"round": 1}
+
     def test_load_required_raises_on_missing(self, tmp_path):
         with pytest.raises(StorageError, match="no checkpoint"):
             JsonFileStore(tmp_path / "absent.json").load_required()
@@ -292,8 +271,7 @@ class TestUri:
 
     @pytest.mark.parametrize(
         "scheme,cls",
-        [("file", JsonFileStore), ("sqlite", SqliteStore),
-         ("segments", SegmentLogStore)],
+        [("file", JsonFileStore), ("segments", SegmentLogStore)],
     )
     def test_schemes_resolve(self, scheme, cls, tmp_path):
         store = open_store("%s://%s" % (scheme, tmp_path / "target"))
@@ -301,8 +279,9 @@ class TestUri:
         assert store.scheme == scheme
 
     def test_unknown_scheme_lists_known_ones(self, tmp_path):
-        with pytest.raises(StorageError, match="file, segments, sqlite"):
-            open_store("redis://somewhere")
+        for uri in ("redis://somewhere", "sqlite://%s" % (tmp_path / "round.db")):
+            with pytest.raises(StorageError, match=r"\(known: file, segments\)"):
+                open_store(uri)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(StorageError):
@@ -322,81 +301,3 @@ class TestDocumentCodec:
             decode_document(b"\xff\xff", "test")
         with pytest.raises(CheckpointCorruptError):
             decode_document(b"[1, 2]", "test")
-
-
-def _ingest_some(server, seed=0, users=40):
-    gen = np.random.default_rng(seed)
-    records = np.column_stack(
-        [gen.uniform(-1, 1, users), gen.integers(0, 4, users)]
-    )
-    client = LDPClient(SCHEMA, EPSILON, protocols=SPEC)
-    server.ingest(client.report_batch(records, gen))
-
-
-class TestAutoCheckpointer:
-    def test_requires_a_trigger(self, tmp_path):
-        server = LDPServer(SCHEMA, EPSILON, protocols=SPEC)
-        store = JsonFileStore(tmp_path / "a.json")
-        with pytest.raises(StorageError, match="trigger"):
-            AutoCheckpointer(server, store)
-        # no silent int(): 2.5 frames is not 2; nan and inf are no period
-        for frames in (0, 2.5, "x"):
-            with pytest.raises(StorageError):
-                AutoCheckpointer(server, store, every_frames=frames)
-        for seconds in (0.0, float("nan"), float("inf"), "abc"):
-            with pytest.raises(StorageError):
-                AutoCheckpointer(server, store, every_seconds=seconds)
-
-    def test_frame_trigger_checkpoints_every_n(self, tmp_path):
-        server = LDPServer(SCHEMA, EPSILON, protocols=SPEC)
-        store = JsonFileStore(tmp_path / "a.json")
-        auto = AutoCheckpointer(server, store, every_frames=2)
-        client = LDPClient(SCHEMA, EPSILON, protocols=SPEC)
-        gen = np.random.default_rng(1)
-        for _ in range(6):
-            records = np.column_stack(
-                [gen.uniform(-1, 1, 10), gen.integers(0, 4, 10)]
-            )
-            auto.ingest(client.report_batch(records, gen))
-        assert auto.checkpoints_written == 3
-        restored = LDPServer(SCHEMA, EPSILON, protocols=SPEC)
-        restored.load_state_dict(store.load())
-        assert restored.users == server.users  # last checkpoint at frame 6
-
-    def test_time_trigger_with_fake_clock(self, tmp_path):
-        ticks = [0.0]
-        server = LDPServer(SCHEMA, EPSILON, protocols=SPEC)
-        store = JsonFileStore(tmp_path / "a.json")
-        auto = AutoCheckpointer(
-            server, store, every_seconds=10.0, clock=lambda: ticks[0]
-        )
-        _ingest_some(server)  # direct ingest: no frame note, no trigger
-        auto._note_frame = auto._note_frame  # (explicitness only)
-        auto.ingest_encoded(
-            LDPClient(SCHEMA, EPSILON, protocols=SPEC).report_encoded(
-                np.column_stack([[0.1], [2]]), np.random.default_rng(2)
-            )
-        )
-        assert auto.checkpoints_written == 0  # clock hasn't moved
-        ticks[0] = 11.0
-        auto.ingest_encoded(
-            LDPClient(SCHEMA, EPSILON, protocols=SPEC).report_encoded(
-                np.column_stack([[0.2], [3]]), np.random.default_rng(3)
-            )
-        )
-        assert auto.checkpoints_written == 1
-
-    def test_resume_restores_and_reports(self, tmp_path):
-        server = LDPServer(SCHEMA, EPSILON, protocols=SPEC)
-        store = JsonFileStore(tmp_path / "a.json")
-        auto = AutoCheckpointer(server, store, every_frames=1)
-        assert auto.resume() is False  # empty store
-        _ingest_some(server)
-        auto.checkpoint()
-        fresh = LDPServer(SCHEMA, EPSILON, protocols=SPEC)
-        fresh_auto = AutoCheckpointer(fresh, store, every_frames=1)
-        assert fresh_auto.resume() is True
-        assert fresh.users == server.users
-        assert json.dumps(fresh.state_dict(), sort_keys=True) == json.dumps(
-            server.state_dict(), sort_keys=True
-        )

@@ -35,7 +35,7 @@ from repro.session import (
     Schema,
     ShardedServer,
 )
-from repro.storage import JsonFileStore, SegmentLogStore, SqliteStore
+from repro.storage import JsonFileStore, SegmentLogStore
 from repro.telemetry import (
     JsonEventFormatter,
     MetricsRegistry,
@@ -575,11 +575,10 @@ class TestStorageTelemetry:
         server = LDPServer(SCHEMA, EPSILON, protocols=SPEC)
         return server.state_dict()
 
-    @pytest.mark.parametrize("backend", ["file", "sqlite", "segments"])
+    @pytest.mark.parametrize("backend", ["file", "segments"])
     def test_save_load_recover_are_observed(self, backend, tmp_path):
         store = {
             "file": lambda: JsonFileStore(tmp_path / "t.json"),
-            "sqlite": lambda: SqliteStore(tmp_path / "t.db"),
             "segments": lambda: SegmentLogStore(tmp_path / "t-log"),
         }[backend]()
         registry = MetricsRegistry()
@@ -591,32 +590,10 @@ class TestStorageTelemetry:
             assert store.recover() == document
         shot = registry.snapshot()
         label = "backend=%s" % store.scheme
-        # the file backend's recover() is exactly a strict load(), so its
-        # load series counts the inner call too
-        loads = 2 if backend == "file" else 1
         assert shot["storage_save_seconds"]["values"][label]["count"] == 1
-        assert shot["storage_load_seconds"]["values"][label]["count"] == loads
+        assert shot["storage_load_seconds"]["values"][label]["count"] == 1
         assert shot["storage_recover_seconds"]["values"][label]["count"] == 1
         assert shot["storage_bytes_written_total"]["values"][label] > 0
-
-    def test_sqlite_corrupt_generation_skip_is_counted(self, tmp_path):
-        registry = MetricsRegistry()
-        with SqliteStore(tmp_path / "t.db") as store:
-            store.attach_telemetry(registry)
-            store.save({"generation": "one"})
-            store.save({"generation": "two"})
-            # tamper with the newest generation's document: CRC fails
-            connection = store._connect()
-            connection.execute(
-                "UPDATE checkpoints SET document = ? WHERE generation = "
-                "(SELECT MAX(generation) FROM checkpoints)",
-                (b"{ mangled",),
-            )
-            connection.commit()
-            assert store.recover() == {"generation": "one"}
-        shot = registry.snapshot()
-        skips = shot["storage_corrupt_records_skipped_total"]["values"]
-        assert skips["backend=sqlite"] == 1.0
 
     def test_segments_corrupt_tail_skip_is_counted(self, tmp_path):
         registry = MetricsRegistry()
