@@ -1,18 +1,15 @@
 """Extension benchmarks: the paper's future-work directions, measured.
 
-Four studies beyond the paper's evaluation section:
+Three studies beyond the paper's evaluation section:
 
 * **Elastic net** — α-sweep between the paper's L1 (α = 1) and L2
   (α = 0) on the Gaussian dataset; the paper's two extremes bracket the
   family.
-* **Budget allocation** — uniform (the paper's protocol) vs
-  signal-proportional allocation (the related-work stream): weighted
-  allocation buys accuracy on prioritized dimensions at the cost of the
-  rest.
 * **Set-valued data** — padding-and-sampling frequency estimation, the
   paper's named future-work data type.
-* **Variance estimation** — two-phase moment collection with HDR4ME on
-  both moments, the paper's "other statistics" direction.
+* **Variance estimation** — the paper's "other statistics" direction,
+  collected through the session: each value and its square are two
+  attributes of one schema, and HDR4ME re-calibrates both moments.
 """
 
 from __future__ import annotations
@@ -24,16 +21,8 @@ from repro.datasets import gaussian_dataset
 from repro.experiments import SeriesRow, format_series
 from repro.hdr4me import Recalibrator, l1_lambda, recalibrate_elastic_net
 from repro.mechanisms import get_mechanism
-from repro.protocol import (
-    MeanEstimationPipeline,
-    PaddingAndSampling,
-    SignalProportionalAllocation,
-    UniformAllocation,
-    VarianceEstimationPipeline,
-    allocated_pipeline_run,
-    item_frequencies,
-    true_variance,
-)
+from repro.protocol import MeanEstimationPipeline, PaddingAndSampling, item_frequencies
+from repro.session import LDPClient, LDPServer, NumericAttribute, Schema
 from bench_config import BENCH_SEED
 
 USERS = 15_000
@@ -71,48 +60,6 @@ def test_elastic_net_alpha_sweep(benchmark, record_artefact):
     # Every alpha beats the raw aggregation in the high-noise regime.
     for row in rows:
         assert row.values["mse"] < baseline
-
-
-def _allocation_study(users, seed):
-    rng = np.random.default_rng(seed)
-    d, eps, n_signal = 50, 1.0, 5
-    data = gaussian_dataset(users, d, high_fraction=n_signal / d, rng=rng)
-    truth = true_mean(data)
-    important = np.argsort(np.abs(truth))[-n_signal:]
-    mech = get_mechanism("laplace")
-    rows = []
-    for label, strategy in (
-        ("uniform", UniformAllocation()),
-        ("signal_proportional", SignalProportionalAllocation(truth)),
-    ):
-        errs_important, errs_total = [], []
-        for _ in range(4):
-            theta, _ = allocated_pipeline_run(mech, data, eps, strategy, rng=rng)
-            errs_important.append(
-                float(np.mean((theta[important] - truth[important]) ** 2))
-            )
-            errs_total.append(mse(theta, truth))
-        rows.append(
-            (label, float(np.mean(errs_important)), float(np.mean(errs_total)))
-        )
-    return rows
-
-
-def test_budget_allocation(benchmark, record_artefact):
-    rows = benchmark.pedantic(
-        _allocation_study, args=(USERS, BENCH_SEED), rounds=1, iterations=1
-    )
-    lines = ["# Budget allocation: uniform vs signal-proportional",
-             "strategy\tmse_signal_dims\tmse_all_dims"]
-    for label, important, total in rows:
-        lines.append("%s\t%.4g\t%.4g" % (label, important, total))
-    record_artefact("ext_allocation", "\n".join(lines))
-
-    uniform, weighted = rows[0], rows[1]
-    # Weighted allocation buys the prioritized dimensions...
-    assert weighted[1] < uniform[1]
-    # ...by spending budget the uniform strategy gave the rest.
-    assert weighted[2] > uniform[2] * 0.5
 
 
 def _setvalued_study(users, seed):
@@ -153,20 +100,24 @@ def _variance_study(users, seed):
     rng = np.random.default_rng(seed)
     d, eps = 100, 0.4
     data = rng.uniform(-1.0, 1.0, size=(users, d))
-    truth = true_variance(data)
-    plain = VarianceEstimationPipeline(
-        get_mechanism("laplace"), epsilon=eps, dimensions=d
-    ).run(data, rng=seed)
-    enhanced = VarianceEstimationPipeline(
-        get_mechanism("laplace"),
-        epsilon=eps,
-        dimensions=d,
-        recalibrator=Recalibrator(norm="l2"),
-    ).run(data, rng=seed)
-    return (
-        float(np.mean((plain.variance - truth) ** 2)),
-        float(np.mean((enhanced.variance - truth) ** 2)),
+    truth = data.var(axis=0)
+    # Every user reports all 2d attributes, so each gets ε/2d: the budget
+    # the value and its square each spent when collected at ε/2 apiece.
+    schema = Schema(
+        [NumericAttribute("x%d" % j) for j in range(d)]
+        + [NumericAttribute("sq%d" % j, domain=(0.0, 1.0)) for j in range(d)]
     )
+    client = LDPClient(schema, eps, protocols="laplace")
+    server = LDPServer(schema, eps, protocols="laplace")
+    server.ingest(client.report_batch(np.hstack([data, data**2]), rng))
+
+    def variance_mse(postprocess):
+        moments = server.estimate(postprocess=postprocess).numeric_means()
+        mean, second = moments[:d], moments[d:]
+        variance = np.maximum(second - mean**2, 0.0)
+        return float(np.mean((variance - truth) ** 2))
+
+    return variance_mse(None), variance_mse(Recalibrator(norm="l2"))
 
 
 def test_variance_estimation(benchmark, record_artefact):
@@ -175,7 +126,7 @@ def test_variance_estimation(benchmark, record_artefact):
     )
     record_artefact(
         "ext_variance",
-        "# Two-phase variance estimation (d=100, eps=0.4)\n"
+        "# Variance estimation from value and square attributes (d=100, eps=0.4)\n"
         "plain\t%.4g\nhdr4me_l2\t%.4g" % (plain, enhanced),
     )
     assert enhanced < plain

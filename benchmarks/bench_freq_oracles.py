@@ -17,8 +17,8 @@ import pytest
 
 from repro.experiments import zipf_categories
 from repro.freq_oracles import get_oracle
-from repro.hdr4me import FrequencyEstimator, true_frequencies
-from repro.mechanisms import get_mechanism
+from repro.hdr4me import true_frequencies
+from repro.session import CategoricalAttribute, LDPClient, LDPServer, Schema
 from bench_config import BENCH_SEED
 
 USERS = 20_000
@@ -29,6 +29,7 @@ def _run_routes(v, users, epsilons, seed):
     rng = np.random.default_rng(seed)
     labels = zipf_categories(users, v, rng=rng)
     truth = true_frequencies(labels, v)
+    schema = Schema([CategoricalAttribute("value", n_categories=v)])
     rows = []
     for eps in epsilons:
         row = {"epsilon": eps}
@@ -36,8 +37,10 @@ def _run_routes(v, users, epsilons, seed):
             oracle = get_oracle(name, eps, v)
             estimate = oracle.estimate(oracle.privatize(labels, rng))
             row[name] = float(np.mean((estimate - truth) ** 2))
-        he = FrequencyEstimator(get_mechanism("piecewise"), eps)
-        estimate = he.estimate(labels, v, rng).raw
+        client = LDPClient(schema, eps, protocols="piecewise")
+        server = LDPServer(schema, eps, protocols="piecewise")
+        server.ingest(client.report_batch(labels[:, None], rng))
+        estimate = server.estimate()["value"].raw
         row["he_piecewise"] = float(np.mean((estimate - truth) ** 2))
         rows.append(row)
     return truth, rows

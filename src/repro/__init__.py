@@ -5,14 +5,15 @@ The library has four layers:
 
 1. **Substrates** — :mod:`repro.mechanisms` (six LDP mechanisms),
    :mod:`repro.freq_oracles` (the Wang et al. GRR/OUE/OLH oracles),
-   :mod:`repro.protocol` (budget accounting and the legacy pipelines),
+   :mod:`repro.protocol` (budget accounting, the mean-estimation
+   pipeline and set-valued padding-and-sampling),
    :mod:`repro.datasets` (Section VI data generators) and
    :mod:`repro.analysis` (utility metrics and density diagnostics).
 2. **The paper's contributions** — :mod:`repro.framework` (the Section IV
    analytical utility framework: Lemmas 2–3, Theorems 1–2, Table II
    benchmarking) and :mod:`repro.hdr4me` (the Section V HDR4ME
-   re-calibration protocol with L1/L2 regularization and the frequency
-   extension).
+   re-calibration protocol with L1/L2 regularization, plus the encoding
+   and post-processing of the frequency extension).
 3. **The session API** — :mod:`repro.session`, the canonical client/server
    collection surface: typed :class:`Schema` records (numeric and
    categorical attributes mixed freely), an :class:`LDPClient` that
@@ -50,9 +51,11 @@ Quickstart::
     print(estimate["screen_time"].scalar)           # private mean
     print(estimate.frequencies("top_app"))          # private frequencies
 
-The pre-session entry points (:class:`MeanEstimationPipeline`,
-:class:`FrequencyEstimator`) remain as thin facades over the session
-layer.
+Each statistic has one estimator: means and histogram-encoded
+frequencies are estimated by the session's collectors, and a categorical
+attribute served by a mechanism name is the paper's Section V-C
+frequency route. :class:`MeanEstimationPipeline` remains as a thin
+facade over the session layer.
 """
 
 from .analysis import (
@@ -101,7 +104,6 @@ from .freq_oracles import (
     get_oracle,
 )
 from .hdr4me import (
-    FrequencyEstimator,
     ProximalGradientSolver,
     RecalibrationResult,
     Recalibrator,
@@ -197,7 +199,6 @@ __all__ = [
     "DistributionError",
     "DomainError",
     "DuchiMechanism",
-    "FrequencyEstimator",
     "FrequencyOracle",
     "Gauge",
     "GeneralizedRandomizedResponse",

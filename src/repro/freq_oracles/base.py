@@ -12,28 +12,40 @@ A :class:`FrequencyOracle` exposes:
 
 * :meth:`privatize` — user-side: perturb integer category labels into
   whatever report type the oracle uses;
-* :meth:`estimate` — collector-side: unbiased frequency estimates from
-  the reports;
+* :meth:`tally` — collector-side: validate reports and reduce them to the
+  oracle's support counts (label counts, bit-column sums or
+  hash-support counts) and the number of users;
+* :meth:`frequencies` — the unbiased estimator ``f̂ = (c/n − q) / (p − q)``
+  every oracle shares, from counts and a user count; :meth:`estimate`
+  composes it with :meth:`tally`, and the session's oracle collectors
+  call it on their folded counts;
 * :meth:`estimation_variance` — the closed-form variance of one
   category's estimate, which is exactly what the paper's framework needs
   to build the Lemma-2-style Gaussian deviation model (the estimators
   are unbiased sums of i.i.d. per-user contributions);
 * :meth:`deviation_model` — that Gaussian, ready for HDR4ME.
+
+Each oracle supplies only :meth:`privatize`, :meth:`tally` and its
+:attr:`support_probabilities` ``(p, q)``.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..exceptions import DimensionError, DomainError
 from ..framework.deviation import DeviationModel
 from ..framework.multivariate import MultivariateDeviationModel
-from ..hdr4me.recalibrator import RecalibrationResult, Recalibrator
 from ..mechanisms.base import validate_epsilon
 from ..rng import RngLike, ensure_rng
+
+
+def _check_users(users: int) -> None:
+    if users < 1:
+        raise DimensionError("users must be >= 1, got %d" % users)
 
 
 class FrequencyOracle(abc.ABC):
@@ -56,13 +68,39 @@ class FrequencyOracle(abc.ABC):
     def privatize(self, labels: np.ndarray, rng: RngLike = None):
         """Perturb integer labels into the oracle's report representation."""
 
+    @property
     @abc.abstractmethod
-    def estimate(self, reports) -> np.ndarray:
-        """Unbiased per-category frequency estimates from reports."""
+    def support_probabilities(self) -> Tuple[float, float]:
+        """``(p, q)``: the chance that one user's report supports the user's
+        own category (``p``) and one specific other category (``q``)."""
 
     @abc.abstractmethod
+    def tally(self, reports) -> Tuple[np.ndarray, int]:
+        """Validate reports; return per-category support counts and users."""
+
+    def estimate(self, reports) -> np.ndarray:
+        """Unbiased per-category frequency estimates from reports."""
+        return self.frequencies(*self.tally(reports))
+
+    def frequencies(self, counts: np.ndarray, users: int) -> np.ndarray:
+        """Unbiased estimates ``f̂ = (c/n − q) / (p − q)`` from support counts.
+
+        Each count is a sum of ``n`` i.i.d. Bernoulli draws whose success
+        probability is ``f·p + (1 − f)·q``, so inverting that affine map
+        is unbiased.
+        """
+        _check_users(users)
+        p, q = self.support_probabilities
+        return (counts / users - q) / (p - q)
+
     def estimation_variance(self, frequency: float, users: int) -> float:
-        """Variance of one category's estimate at true frequency ``f``."""
+        """``Var[f̂] = P(1 − P) / (n (p − q)²)``, ``P = f·p + (1 − f)·q``,
+        with the plug-in ``f`` clipped to ``[0, 1]``."""
+        _check_users(users)
+        f = min(max(frequency, 0.0), 1.0)
+        p, q = self.support_probabilities
+        hit = f * p + (1.0 - f) * q
+        return hit * (1.0 - hit) / (users * (p - q) ** 2)
 
     # ------------------------------------------------------------- framework
 
@@ -76,8 +114,7 @@ class FrequencyOracle(abc.ABC):
         Lemma 2 applies verbatim with ``δ = 0`` and the closed-form
         estimation variance.
         """
-        if users < 1:
-            raise DimensionError("users must be >= 1, got %d" % users)
+        _check_users(users)
         if frequencies is None:
             frequencies = np.full(self.n_categories, 1.0 / self.n_categories)
         freq = np.clip(np.asarray(frequencies, dtype=np.float64), 0.0, 1.0)
@@ -97,17 +134,6 @@ class FrequencyOracle(abc.ABC):
             for f in freq
         ]
         return MultivariateDeviationModel(models)
-
-    def estimate_recalibrated(
-        self,
-        reports,
-        users: int,
-        recalibrator: Recalibrator,
-    ) -> RecalibrationResult:
-        """Estimate then apply HDR4ME with a plug-in deviation model."""
-        raw = self.estimate(reports)
-        model = self.deviation_model(users, frequencies=raw)
-        return recalibrator.recalibrate(raw, model)
 
     # --------------------------------------------------------------- helpers
 

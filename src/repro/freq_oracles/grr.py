@@ -15,6 +15,7 @@ GRR is optimal for small category counts and degrades linearly in ``v``
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
 import numpy as np
 
@@ -52,16 +53,11 @@ class GeneralizedRandomizedResponse(FrequencyOracle):
         # arr is _check_labels' own int64 copy, so the select may fill it.
         return select(keep, arr, lie, out=arr)
 
-    def estimate(self, reports: np.ndarray) -> np.ndarray:
-        """Unbiased frequency estimates from perturbed labels."""
-        arr = self._check_labels(reports)
-        counts = np.bincount(arr, minlength=self.n_categories)
-        observed = counts / arr.size
-        return (observed - self.p_other) / (self.p_true - self.p_other)
+    @property
+    def support_probabilities(self) -> Tuple[float, float]:
+        return self.p_true, self.p_other
 
-    def estimation_variance(self, frequency: float, users: int) -> float:
-        """``Var[f̂] = P(1 − P) / (n (p − q)²)`` with plug-in ``f``."""
-        f = min(max(frequency, 0.0), 1.0)
-        p, q = self.p_true, self.p_other
-        hit = f * p + (1.0 - f) * q
-        return hit * (1.0 - hit) / (users * (p - q) ** 2)
+    def tally(self, reports: np.ndarray) -> Tuple[np.ndarray, int]:
+        """Per-category counts of the perturbed labels."""
+        arr = self._check_labels(reports)
+        return np.bincount(arr, minlength=self.n_categories), arr.size

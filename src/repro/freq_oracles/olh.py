@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -120,15 +121,10 @@ class OptimizedLocalHashing(FrequencyOracle):
             supports += (hashed == observed).sum(axis=0)
         return supports
 
-    def estimate(self, reports: OlhReports, chunk: int = 4096) -> np.ndarray:
-        """Unbiased frequency estimates by support counting."""
-        observed_rate = self.support_counts(reports, chunk) / reports.buckets.size
-        q = 1.0 / self.n_buckets
-        return (observed_rate - q) / (self.p_true - q)
+    @property
+    def support_probabilities(self) -> Tuple[float, float]:
+        return self.p_true, 1.0 / self.n_buckets
 
-    def estimation_variance(self, frequency: float, users: int) -> float:
-        """``Var[f̂] = P(1 − P) / (n (p − 1/g)²)`` with plug-in ``f``."""
-        f = min(max(frequency, 0.0), 1.0)
-        p, q = self.p_true, 1.0 / self.n_buckets
-        hit = f * p + (1.0 - f) * q
-        return hit * (1.0 - hit) / (users * (p - q) ** 2)
+    def tally(self, reports: OlhReports) -> Tuple[np.ndarray, int]:
+        """Support counts of every category and the number of users."""
+        return self.support_counts(reports), reports.buckets.size

@@ -12,9 +12,11 @@ the well-known ``4 e^ε / (n (e^ε − 1)²)`` at small ``f``.
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
 import numpy as np
 
+from ..exceptions import DimensionError
 from ..rng import RngLike
 from .base import FrequencyOracle
 
@@ -44,22 +46,16 @@ class OptimizedUnaryEncoding(FrequencyOracle):
         )
         return reports
 
-    def estimate(self, reports: np.ndarray) -> np.ndarray:
-        """Unbiased frequency estimates from the bit matrix."""
+    @property
+    def support_probabilities(self) -> Tuple[float, float]:
+        return self.p_keep, self.p_flip
+
+    def tally(self, reports: np.ndarray) -> Tuple[np.ndarray, int]:
+        """Column sums of the bit matrix."""
         matrix = np.asarray(reports, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] != self.n_categories:
-            from ..exceptions import DimensionError
-
             raise DimensionError(
                 "expected (n, %d) report matrix, got %s"
                 % (self.n_categories, matrix.shape)
             )
-        observed = matrix.mean(axis=0)
-        return (observed - self.p_flip) / (self.p_keep - self.p_flip)
-
-    def estimation_variance(self, frequency: float, users: int) -> float:
-        """``Var[f̂] = P(1 − P) / (n (p − q)²)`` with plug-in ``f``."""
-        f = min(max(frequency, 0.0), 1.0)
-        p, q = self.p_keep, self.p_flip
-        hit = f * p + (1.0 - f) * q
-        return hit * (1.0 - hit) / (users * (p - q) ** 2)
+        return matrix.sum(axis=0), matrix.shape[0]

@@ -10,13 +10,13 @@ Public surface:
   framework-driven λ* selection and the Theorem 3/4 probability bounds;
 * :class:`Recalibrator` / :class:`RecalibrationResult` — the façade tying
   the above together;
-* :class:`FrequencyEstimator` — the Section V-C frequency extension.
+* :func:`one_hot_encode`, :func:`adapt_to_unit_domain` and the frequency
+  post-processing of the Section V-C extension, whose estimator is the
+  session's histogram-encoding collector.
 """
 
 from .elastic_net import ElasticNetRegularizer, recalibrate_elastic_net
 from .frequency import (
-    FrequencyEstimate,
-    FrequencyEstimator,
     adapt_to_unit_domain,
     norm_sub_frequencies,
     one_hot_encode,
@@ -53,8 +53,6 @@ __all__ = [
     "ElasticNetRegularizer",
     "recalibrate_elastic_net",
     "DEFAULT_FLOOR",
-    "FrequencyEstimate",
-    "FrequencyEstimator",
     "ImprovementGuarantee",
     "L1Regularizer",
     "L2Regularizer",

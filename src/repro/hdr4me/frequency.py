@@ -8,30 +8,22 @@ budget ``ε/2m`` guarantees collective ε-LDP regardless of the mechanism
 frequency estimation becomes ``d`` high-dimensional *mean* estimations —
 and both the analytical framework and HDR4ME apply unchanged.
 
-This module provides the encoding, a mechanism-agnostic
-:class:`FrequencyEstimator`, and the standard post-processing (clip to
-``[0, 1]``, optionally renormalize the simplex).
+This module provides the encoding, the unit-domain adaptation of a
+mechanism, and the standard post-processing (clip to ``[0, 1]``,
+optionally renormalize the simplex). The estimator itself is the
+session's :class:`~repro.session.adapters.HistogramMechanismCollector`:
+a schema with a :class:`~repro.session.CategoricalAttribute` served by a
+mechanism name runs this route end to end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..exceptions import DimensionError, DomainError
-from ..framework.deviation import build_deviation_model
-from ..framework.multivariate import MultivariateDeviationModel
-from ..framework.population import ValueDistribution
-from ..mechanisms.base import (
-    AffineTransformedMechanism,
-    Mechanism,
-    affine_mean_map,
-    validate_epsilon,
-)
-from ..rng import RngLike, ensure_rng
-from .recalibrator import RecalibrationResult, Recalibrator
+from ..mechanisms.base import AffineTransformedMechanism, Mechanism
 
 #: Native domain of histogram-encoded entries.
 UNIT_DOMAIN: Tuple[float, float] = (0.0, 1.0)
@@ -110,148 +102,3 @@ def norm_sub_frequencies(frequencies: np.ndarray) -> np.ndarray:
     pivot = int(np.nonzero(candidates > 0)[0][-1])
     offset = cumulative[pivot] / (pivot + 1)
     return np.maximum(freq - offset, 0.0)
-
-
-@dataclass(frozen=True)
-class FrequencyEstimate:
-    """Result of one categorical dimension's frequency estimation.
-
-    Attributes
-    ----------
-    raw:
-        Per-category frequency estimates after exact mean calibration
-        (see :func:`repro.mechanisms.base.affine_mean_map`); may still
-        fall outside ``[0, 1]`` due to perturbation noise.
-    entry_means:
-        The uncalibrated means of the perturbed one-hot entries — what a
-        mechanism-oblivious collector would see (biased for the square
-        wave, identical to ``raw`` for unbiased mechanisms).
-    enhanced:
-        HDR4ME-re-calibrated estimates, present when a recalibrator was
-        configured; otherwise ``None``.
-    epsilon_per_entry:
-        The ``ε/2m`` budget each encoded entry was perturbed with.
-    reports:
-        Number of users contributing to this dimension.
-    """
-
-    raw: np.ndarray
-    entry_means: np.ndarray
-    enhanced: Optional[np.ndarray]
-    epsilon_per_entry: float
-    reports: int
-
-    def best(self, normalize: bool = True) -> np.ndarray:
-        """Post-processed enhanced estimate (or raw if not enhanced)."""
-        source = self.enhanced if self.enhanced is not None else self.raw
-        return postprocess_frequencies(source, normalize=normalize)
-
-
-class FrequencyEstimator:
-    """Mechanism-agnostic LDP frequency estimation with optional HDR4ME.
-
-    Parameters
-    ----------
-    mechanism:
-        Any :class:`Mechanism`; it is automatically re-domained to the
-        unit interval of histogram-encoded entries.
-    epsilon:
-        Collective privacy budget ``ε``.
-    sampled_dimensions:
-        The ``m`` of the paper's protocol — how many categorical
-        dimensions each user reports. Each entry receives ``ε/2m``.
-    recalibrator:
-        Optional :class:`Recalibrator`; when present, the estimate of each
-        categorical dimension is re-calibrated with a plug-in Bernoulli
-        population model per entry.
-    """
-
-    def __init__(
-        self,
-        mechanism: Mechanism,
-        epsilon: float,
-        sampled_dimensions: int = 1,
-        recalibrator: Optional[Recalibrator] = None,
-    ) -> None:
-        self.epsilon = validate_epsilon(epsilon)
-        if sampled_dimensions < 1:
-            raise DimensionError(
-                "sampled_dimensions must be >= 1, got %d" % sampled_dimensions
-            )
-        self.mechanism = adapt_to_unit_domain(mechanism)
-        self.sampled_dimensions = int(sampled_dimensions)
-        self.recalibrator = recalibrator
-
-    @property
-    def epsilon_per_entry(self) -> float:
-        """Per-entry budget ``ε / 2m`` (Section V-C)."""
-        return self.epsilon / (2.0 * self.sampled_dimensions)
-
-    def estimate(
-        self,
-        categories: np.ndarray,
-        n_categories: int,
-        rng: RngLike = None,
-    ) -> FrequencyEstimate:
-        """Estimate the category frequencies of one categorical dimension."""
-        gen = ensure_rng(rng)
-        encoded = one_hot_encode(categories, n_categories)
-        reports = encoded.shape[0]
-        if reports == 0:
-            raise DimensionError("cannot estimate frequencies from no users")
-        eps = self.epsilon_per_entry
-        perturbed = self.mechanism.perturb(encoded, eps, gen)
-        entry_means = perturbed.mean(axis=0)
-
-        # Exact aggregate-mean calibration: every shipped mechanism has an
-        # affine conditional mean, so the collector can invert it.
-        affine = affine_mean_map(self.mechanism, eps)
-        if affine is not None:
-            slope, intercept = affine
-            raw = (entry_means - intercept) / slope
-        else:  # pragma: no cover - no shipped mechanism hits this
-            slope = 1.0
-            raw = entry_means
-
-        enhanced = None
-        if self.recalibrator is not None:
-            enhanced = self._recalibrate(raw, reports, slope).theta_star
-        return FrequencyEstimate(
-            raw=raw,
-            entry_means=entry_means,
-            enhanced=enhanced,
-            epsilon_per_entry=eps,
-            reports=reports,
-        )
-
-    def _recalibrate(
-        self, raw: np.ndarray, reports: int, slope: float
-    ) -> RecalibrationResult:
-        """Apply HDR4ME with a plug-in Bernoulli population per entry.
-
-        The deviation of the *calibrated* estimate is unbiased with
-        variance ``E_t[Var(t*|t)] / (r · slope²)``, so the per-entry
-        Gaussian model is rebuilt accordingly.
-        """
-        from ..framework.deviation import DeviationModel
-
-        eps = self.epsilon_per_entry
-        models = []
-        plugin = np.clip(raw, 0.0, 1.0)
-        for frequency in plugin:
-            population = ValueDistribution(
-                np.array([0.0, 1.0]),
-                np.array([1.0 - frequency, frequency]),
-            )
-            base = build_deviation_model(self.mechanism, eps, reports, population)
-            models.append(
-                DeviationModel(
-                    delta=0.0,
-                    sigma=base.sigma / abs(slope),
-                    reports=reports,
-                    epsilon=eps,
-                    mechanism_name=base.mechanism_name,
-                )
-            )
-        model = MultivariateDeviationModel(models)
-        return self.recalibrator.recalibrate(raw, model)

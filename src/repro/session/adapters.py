@@ -517,8 +517,9 @@ class OracleCollector(AttributeCollector):
 
     Subclasses accumulate integer per-category statistics (label counts,
     bit-column sums or hash-support counts) — exact arithmetic, hence
-    trivially batching-invariant — and reconstruct the oracle's unbiased
-    estimator from them.
+    trivially batching-invariant — and the oracle's own
+    :meth:`~repro.freq_oracles.base.FrequencyOracle.frequencies` turns
+    them into the unbiased estimate.
     """
 
     oracle_cls = FrequencyOracle  # overridden by subclasses
@@ -586,6 +587,10 @@ class OracleCollector(AttributeCollector):
         state.users = users
         return state
 
+    def estimate(self, state: _OracleState) -> np.ndarray:
+        count = self._require_reports(state)
+        return self.oracle.frequencies(state.counts, count)
+
     def deviation_model(self, state: _OracleState) -> MultivariateDeviationModel:
         self._require_reports(state)
         frequencies = np.clip(self.estimate(state), 0.0, 1.0)
@@ -620,12 +625,6 @@ class GrrCollector(OracleCollector):
         )
         state.users += payload.size
 
-    def estimate(self, state: _OracleState) -> np.ndarray:
-        count = self._require_reports(state)
-        observed = state.counts / count
-        p, q = self.oracle.p_true, self.oracle.p_other
-        return (observed - q) / (p - q)
-
 
 class OueCollector(OracleCollector):
     """OUE aggregation: exact column sums of the perturbed bit matrix."""
@@ -649,12 +648,6 @@ class OueCollector(OracleCollector):
     def fold(self, state: _OracleState, payload: np.ndarray) -> None:
         state.counts += np.rint(payload.sum(axis=0)).astype(np.int64)
         state.users += payload.shape[0]
-
-    def estimate(self, state: _OracleState) -> np.ndarray:
-        count = self._require_reports(state)
-        observed = state.counts / count
-        p, q = self.oracle.p_keep, self.oracle.p_flip
-        return (observed - q) / (p - q)
 
 
 class OlhCollector(OracleCollector):
@@ -704,13 +697,6 @@ class OlhCollector(OracleCollector):
 
     def payload_rows(self, payload: OlhReports) -> int:
         return int(payload.buckets.size)
-
-    def estimate(self, state: _OracleState) -> np.ndarray:
-        count = self._require_reports(state)
-        observed = state.counts / count
-        p = self.oracle.p_true
-        q = 1.0 / self.oracle.n_buckets
-        return (observed - q) / (p - q)
 
     def concat_payloads(self, payloads: Sequence[OlhReports]) -> OlhReports:
         return OlhReports(

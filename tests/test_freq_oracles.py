@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import DimensionError, DomainError
 from repro.freq_oracles import (
-    FrequencyOracle,
     GeneralizedRandomizedResponse,
+    OlhReports,
     OptimizedLocalHashing,
     OptimizedUnaryEncoding,
     available_oracles,
     get_oracle,
 )
 from repro.hdr4me import Recalibrator
+from repro.session import CategoricalAttribute, LDPServer, Schema
 
 ORACLE_NAMES = ("grr", "oue", "olh")
 
@@ -111,9 +112,9 @@ class TestOLH:
         oracle = OptimizedLocalHashing(1.0, 12)
         labels = rng.integers(0, 12, 3000)
         reports = oracle.privatize(labels, rng)
-        np.testing.assert_allclose(
-            oracle.estimate(reports, chunk=128),
-            oracle.estimate(reports, chunk=100_000),
+        assert np.array_equal(
+            oracle.support_counts(reports, chunk=128),
+            oracle.support_counts(reports, chunk=100_000),
         )
 
     def test_support_counts_match_per_user_reference(self, rng):
@@ -221,11 +222,12 @@ class TestHdr4meComposition:
         labels = rng.choice(v, size=30_000)
         oracle = get_oracle(name, 1.0, v)
         reports = oracle.privatize(labels, rng)
-        result = oracle.estimate_recalibrated(
-            reports, labels.size, Recalibrator(norm="l2")
+        raw = oracle.estimate(reports)
+        result = Recalibrator(norm="l2").recalibrate(
+            raw, oracle.deviation_model(labels.size, frequencies=raw)
         )
         truth = np.bincount(labels, minlength=v) / labels.size
-        raw_mse = np.mean((oracle.estimate(reports) - truth) ** 2)
+        raw_mse = np.mean((raw - truth) ** 2)
         enhanced_mse = np.mean((result.theta_star - truth) ** 2)
         # A single categorical attribute is below the Lemma 4/5 thresholds,
         # so L2 is not expected to *help* here — only to stay sane (its
@@ -254,3 +256,45 @@ def test_property_variances_positive(eps, v, n):
     for name in ORACLE_NAMES:
         oracle = get_oracle(name, eps, v)
         assert oracle.estimation_variance(0.3, n) > 0.0
+
+
+def _no_reports(oracle):
+    if isinstance(oracle, GeneralizedRandomizedResponse):
+        return np.empty(0, dtype=np.int64)
+    if isinstance(oracle, OptimizedUnaryEncoding):
+        return np.empty((0, oracle.n_categories))
+    return OlhReports(
+        seeds=np.empty((0, 2), dtype=np.int64), buckets=np.empty(0, dtype=np.int64)
+    )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_zero_reports_raise_dimension_error(name):
+    """No reports is a typed error, never a NaN estimate, a numpy
+    warning or a raw ZeroDivisionError."""
+    oracle = get_oracle(name, 1.0, 5)
+    with pytest.raises(DimensionError):
+        oracle.estimate(_no_reports(oracle))
+    with pytest.raises(DimensionError):
+        oracle.frequencies(np.zeros(5, dtype=np.int64), 0)
+    with pytest.raises(DimensionError):
+        oracle.estimation_variance(0.3, 0)
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_estimate_matches_session_collector_bit_for_bit(name, rng):
+    """The oracle and its session collector share one estimator: folding
+    the same reports in frames gives the one-shot estimate's exact bits."""
+    v = 7
+    schema = Schema([CategoricalAttribute("c", n_categories=v)])
+    collector = LDPServer(schema, 1.5, protocols=name).collectors["c"]
+    oracle = collector.oracle
+    frames = [oracle.privatize(rng.integers(0, v, size), rng) for size in (900, 1, 611)]
+    state = collector.new_state()
+    for frame in frames:
+        collector.fold(state, collector.check_payload(frame))
+    one_shot = oracle.estimate(collector.concat_payloads(frames))
+    assert [x.hex() for x in collector.estimate(state)] == [
+        x.hex() for x in one_shot
+    ]

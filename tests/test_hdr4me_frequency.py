@@ -1,25 +1,33 @@
-"""Tests for the Section V-C frequency-estimation extension."""
+"""Tests for the Section V-C frequency-estimation extension.
+
+The estimator is the session's histogram-encoding collector: a
+categorical attribute served by a mechanism name.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.exceptions import DimensionError, DomainError
+from repro.exceptions import AggregationError, DimensionError, DomainError
 from repro.hdr4me import (
-    FrequencyEstimator,
     Recalibrator,
     one_hot_encode,
     postprocess_frequencies,
     true_frequencies,
 )
 from repro.hdr4me.frequency import adapt_to_unit_domain
-from repro.mechanisms import (
-    LaplaceMechanism,
-    PiecewiseMechanism,
-    SquareWaveMechanism,
-    get_mechanism,
-)
+from repro.mechanisms import PiecewiseMechanism, SquareWaveMechanism
+from repro.session import CategoricalAttribute, LDPClient, LDPServer, Schema
+
+
+def _collect(protocol, epsilon, labels, n_categories, rng):
+    """One round of a single categorical attribute; return the server."""
+    schema = Schema([CategoricalAttribute("value", n_categories=n_categories)])
+    client = LDPClient(schema, epsilon, protocols=protocol)
+    server = LDPServer(schema, epsilon, protocols=protocol)
+    server.ingest(client.report_batch(np.asarray(labels)[:, None], rng))
+    return server
 
 
 class TestEncoding:
@@ -84,48 +92,40 @@ class TestEstimator:
     @pytest.mark.parametrize("name", ["laplace", "piecewise", "square_wave_unit"])
     def test_recovers_frequencies(self, name, rng):
         labels = rng.choice(4, size=40_000, p=[0.5, 0.3, 0.15, 0.05])
-        estimator = FrequencyEstimator(get_mechanism(name), epsilon=4.0)
-        estimate = estimator.estimate(labels, 4, rng)
+        estimate = _collect(name, 4.0, labels, 4, rng).estimate()
         truth = true_frequencies(labels, 4)
-        np.testing.assert_allclose(estimate.best(), truth, atol=0.05)
+        np.testing.assert_allclose(
+            postprocess_frequencies(estimate["value"].value), truth, atol=0.05
+        )
 
     def test_epsilon_per_entry_is_half_per_dim(self):
-        estimator = FrequencyEstimator(
-            LaplaceMechanism(), epsilon=2.0, sampled_dimensions=4
+        schema = Schema(
+            [CategoricalAttribute("c%d" % j, n_categories=3) for j in range(6)]
         )
-        assert estimator.epsilon_per_entry == pytest.approx(0.25)
+        client = LDPClient(
+            schema, epsilon=2.0, sampled_attributes=4, protocols="laplace"
+        )
+        for collector in client.collectors.values():
+            assert collector.epsilon_per_entry == pytest.approx(0.25)
 
     def test_with_recalibration(self, rng):
         labels = rng.choice(8, size=20_000)
-        estimator = FrequencyEstimator(
-            PiecewiseMechanism(),
-            epsilon=1.0,
-            recalibrator=Recalibrator(norm="l2"),
+        estimate = _collect("piecewise", 1.0, labels, 8, rng).estimate(
+            postprocess=Recalibrator(norm="l2")
         )
-        estimate = estimator.estimate(labels, 8, rng)
-        assert estimate.enhanced is not None
+        attr = estimate["value"]
+        assert attr.enhanced is not None
         # L2 shrinks, never amplifies.
-        assert np.all(np.abs(estimate.enhanced) <= np.abs(estimate.raw) + 1e-12)
+        assert np.all(np.abs(attr.enhanced) <= np.abs(attr.raw) + 1e-12)
 
     def test_without_recalibration_enhanced_is_none(self, rng):
-        estimator = FrequencyEstimator(LaplaceMechanism(), epsilon=1.0)
-        estimate = estimator.estimate(rng.choice(3, size=1000), 3, rng)
-        assert estimate.enhanced is None
-        assert estimate.reports == 1000
+        server = _collect("laplace", 1.0, rng.choice(3, size=1000), 3, rng)
+        attr = server.estimate()["value"]
+        assert attr.enhanced is None
+        assert attr.value is attr.raw
+        assert attr.reports == 1000
 
     def test_empty_input_rejected(self, rng):
-        estimator = FrequencyEstimator(LaplaceMechanism(), epsilon=1.0)
-        with pytest.raises(DimensionError):
-            estimator.estimate(np.empty(0, dtype=int), 3, rng)
-
-    def test_invalid_sampled_dimensions(self):
-        with pytest.raises(DimensionError):
-            FrequencyEstimator(LaplaceMechanism(), 1.0, sampled_dimensions=0)
-
-    def test_best_falls_back_to_raw(self, rng):
-        estimator = FrequencyEstimator(LaplaceMechanism(), epsilon=4.0)
-        estimate = estimator.estimate(rng.choice(3, size=5000), 3, rng)
-        np.testing.assert_allclose(
-            estimate.best(normalize=False),
-            np.clip(estimate.raw, 0.0, 1.0),
-        )
+        server = _collect("laplace", 1.0, np.empty(0, dtype=int), 3, rng)
+        with pytest.raises(AggregationError):
+            server.estimate()

@@ -21,9 +21,10 @@ import pytest
 from repro.analysis import gaussian_fit, mse, true_mean
 from repro.experiments import simulate_dimension_deviations
 from repro.framework import ValueDistribution, build_deviation_model
-from repro.hdr4me import FrequencyEstimator, Recalibrator, true_frequencies
+from repro.hdr4me import Recalibrator, postprocess_frequencies, true_frequencies
 from repro.mechanisms import get_mechanism
 from repro.protocol import MeanEstimationPipeline, build_populations
+from repro.session import CategoricalAttribute, LDPClient, LDPServer, Schema
 
 
 class TestFrameworkPredictsExperiment:
@@ -116,17 +117,16 @@ class TestHdr4meEnhancement:
 class TestFrequencyExtension:
     def test_end_to_end_with_enhancement(self, rng):
         labels = rng.choice(16, size=30_000)
-        mech = get_mechanism("piecewise")
-        plain = FrequencyEstimator(mech, epsilon=2.0)
-        enhanced = FrequencyEstimator(
-            mech, epsilon=2.0, recalibrator=Recalibrator(norm="l2")
-        )
+        schema = Schema([CategoricalAttribute("value", n_categories=16)])
+        client = LDPClient(schema, epsilon=2.0, protocols="piecewise")
+        server = LDPServer(schema, epsilon=2.0, protocols="piecewise")
+        server.ingest(client.report_batch(labels[:, None], rng=11))
         truth = true_frequencies(labels, 16)
-        est_plain = plain.estimate(labels, 16, rng=11)
-        est_enh = enhanced.estimate(labels, 16, rng=11)
-        # Identical perturbation stream; both recover the truth sanely.
-        assert np.mean((est_plain.best() - truth) ** 2) < 1e-3
-        assert np.mean((est_enh.best() - truth) ** 2) < 1e-3
+        # One set of reports, two readings: both recover the truth sanely.
+        for recalibrator in (None, Recalibrator(norm="l2")):
+            estimate = server.estimate(postprocess=recalibrator)
+            best = postprocess_frequencies(estimate["value"].value)
+            assert np.mean((best - truth) ** 2) < 1e-3
 
 
 class TestPrivacyAccounting:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import mse, true_mean
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from reference_protocol import Aggregator, Client
 from repro.exceptions import DimensionError, DistributionError, DomainError
@@ -304,19 +304,30 @@ def test_build_populations_matches_from_data_bit_for_bit(data, bins):
     _assert_same(data, bins)
 
 
+# Seed 37's input: a finite column only two ulps wide, too narrow for 3
+# bins, placed before the column that holds the NaN. build_populations
+# refuses the NaN before binning any column, so its error is the NaN one,
+# not the first per-column from_data error.
+_NARROW_BEFORE_NAN = np.zeros((37, 4))
+_NARROW_BEFORE_NAN[:, 0] = 2048.0
+_NARROW_BEFORE_NAN[-1, 0] = float.fromhex("0x1.0000000000002p+11")
+
+
 @given(
     data=_columns(),
     bad=st.sampled_from([np.nan, np.inf, -np.inf]),
     where=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
     bins=st.one_of(st.none(), st.integers(1, 40)),
 )
+@example(data=_NARROW_BEFORE_NAN, bad=np.nan, where=(0, 1), bins=3)
 @settings(max_examples=50, deadline=None)
 def test_build_populations_non_finite_raises_like_from_data(data, bad, where, bins):
     data = data.copy()
-    data[where[0] % data.shape[0], where[1] % data.shape[1]] = bad
-    with pytest.raises(DistributionError, match="NaN or infinite"):
-        build_populations(data, bins)
-    _assert_same(data, bins)
+    column = where[1] % data.shape[1]
+    data[where[0] % data.shape[0], column] = bad
+    got = _outcome(lambda: build_populations(data, bins))
+    assert got == (DistributionError, "data column holds NaN or infinite values")
+    assert got == _outcome(lambda: ValueDistribution.from_data(data[:, column], bins))
 
 
 @pytest.mark.parametrize("bins", [0, -3])
