@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..exceptions import DimensionError
 from ..framework.deviation import DeviationModel
@@ -88,6 +87,9 @@ def gaussian_fit(sample: np.ndarray, model: DeviationModel) -> GaussianFit:
     arr = np.asarray(sample, dtype=np.float64).ravel()
     if arr.size < 2:
         raise DimensionError("need at least two observations, got %d" % arr.size)
+    # A diagnostic: load scipy.stats here, off the collection runtime path.
+    from scipy import stats
+
     statistic, pvalue = stats.kstest(
         arr, "norm", args=(model.delta, model.sigma)
     )

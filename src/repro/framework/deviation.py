@@ -14,6 +14,10 @@ asymptotically Gaussian,
 flag and returns a :class:`DeviationModel`, which knows its pdf/cdf, the
 probability of staying inside a supremum ``ξ`` (the Table II quantity), and
 high-confidence envelopes ``|δ| + z·σ`` used by HDR4ME's λ* selection.
+
+The model needs only the standard normal cdf and its inverse, so it calls
+``scipy.special.ndtr``/``ndtri`` — the functions ``scipy.stats.norm``
+reduces to, with the same bits — and never loads ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri
 
 from ..exceptions import DistributionError, ParameterError
 from ..mechanisms.base import Mechanism, validate_epsilon
@@ -34,7 +38,7 @@ def envelope_quantile(confidence: float) -> float:
     """Two-sided Gaussian quantile ``z`` with ``P(|Z| ≤ z) = confidence``."""
     if not 0.0 < confidence < 1.0:
         raise ParameterError("confidence must lie in (0, 1), got %g" % confidence)
-    return stats.norm.ppf(0.5 + confidence / 2.0)
+    return ndtri(0.5 + confidence / 2.0)
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,7 @@ class DeviationModel:
     def cdf(self, deviation: np.ndarray) -> np.ndarray:
         """Gaussian cdf of the deviation."""
         x = np.asarray(deviation, dtype=np.float64)
-        return stats.norm.cdf(x, loc=self.delta, scale=self.sigma)
+        return ndtr((x - self.delta) / self.sigma)
 
     def interval_probability(self, low: float, high: float) -> float:
         """``P(low ≤ θ̂ − θ̄ ≤ high)``."""

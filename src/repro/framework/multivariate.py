@@ -16,7 +16,7 @@ exposes the quantities the paper derives from the joint pdf:
 Every quantity is evaluated over the cached ``δ``/``σ`` vectors in one
 array pass, with the same floating-point operations per dimension as the
 scalar :class:`DeviationModel` methods, so results are bit-identical to
-the per-dimension formulas at O(d) vector cost instead of d scipy calls.
+the per-dimension formulas at O(d) vector cost.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from ..exceptions import DimensionError, ParameterError
 from ..mechanisms.base import Mechanism
@@ -152,9 +152,8 @@ class MultivariateDeviationModel:
     def _inside_probabilities(self, suprema: Suprema) -> np.ndarray:
         """Every dimension's :meth:`DeviationModel.supremum_probability`."""
         xi = self._broadcast_suprema(suprema)
-        cdf = stats.norm.cdf
-        return cdf(xi, loc=self._deltas, scale=self._sigmas) - cdf(
-            -xi, loc=self._deltas, scale=self._sigmas
+        return ndtr((xi - self._deltas) / self._sigmas) - ndtr(
+            (-xi - self._deltas) / self._sigmas
         )
 
     def _broadcast_suprema(self, suprema: Suprema) -> np.ndarray:

@@ -143,6 +143,12 @@ class FrequencyOracle(abc.ABC):
             raise DimensionError("labels must be one-dimensional")
         if arr.size == 0:
             raise DimensionError("labels must be non-empty")
+        # Schema-validated label columns are float64: accept integral
+        # floats, but refuse fractions and NaN rather than truncate them.
+        if arr.dtype.kind not in "biu" and (
+            arr.dtype.kind != "f" or np.any(arr != np.trunc(arr))
+        ):
+            raise DomainError("labels must be finite integers")
         if arr.min() < 0 or arr.max() >= self.n_categories:
             raise DomainError(
                 "labels must lie in [0, %d)" % self.n_categories

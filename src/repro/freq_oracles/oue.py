@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..exceptions import DimensionError
+from ..exceptions import DimensionError, DomainError
 from ..rng import RngLike
 from .base import FrequencyOracle
 
@@ -50,12 +50,24 @@ class OptimizedUnaryEncoding(FrequencyOracle):
     def support_probabilities(self) -> Tuple[float, float]:
         return self.p_keep, self.p_flip
 
-    def tally(self, reports: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Column sums of the bit matrix."""
+    def check_reports(self, reports, where: str = "OUE reports") -> np.ndarray:
+        """``reports`` as a float64 ``(n, v)`` matrix whose entries are bits.
+
+        Refuses another shape with ``DimensionError`` and any entry that is
+        not exactly 0 or 1 (NaN included) with ``DomainError``; ``where``
+        prefixes both messages.
+        """
         matrix = np.asarray(reports, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] != self.n_categories:
             raise DimensionError(
-                "expected (n, %d) report matrix, got %s"
-                % (self.n_categories, matrix.shape)
+                "%s: expected an (n, %d) bit matrix, got %s"
+                % (where, self.n_categories, matrix.shape)
             )
+        if matrix.size and not np.all((matrix == 0.0) | (matrix == 1.0)):
+            raise DomainError("%s: entries must be 0/1 bits" % where)
+        return matrix
+
+    def tally(self, reports: np.ndarray) -> Tuple[np.ndarray, int]:
+        """Column sums of the bit matrix."""
+        matrix = self.check_reports(reports)
         return matrix.sum(axis=0), matrix.shape[0]

@@ -632,18 +632,9 @@ class OueCollector(OracleCollector):
     oracle_cls = OptimizedUnaryEncoding
 
     def check_payload(self, payload: Any) -> np.ndarray:
-        matrix = np.asarray(payload, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[1] != self.attribute.n_categories:
-            raise DimensionError(
-                "attribute %r: expected (k, %d) OUE payload, got %s"
-                % (self.attribute.name, self.attribute.n_categories, matrix.shape)
-            )
-        if matrix.size and not np.all((matrix == 0.0) | (matrix == 1.0)):
-            raise DomainError(
-                "attribute %r: OUE payloads must be 0/1 bit matrices"
-                % self.attribute.name
-            )
-        return matrix
+        return self.oracle.check_reports(
+            payload, "attribute %r: OUE payload" % self.attribute.name
+        )
 
     def fold(self, state: _OracleState, payload: np.ndarray) -> None:
         state.counts += np.rint(payload.sum(axis=0)).astype(np.int64)

@@ -298,3 +298,65 @@ def test_estimate_matches_session_collector_bit_for_bit(name, rng):
     assert [x.hex() for x in collector.estimate(state)] == [
         x.hex() for x in one_shot
     ]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+@pytest.mark.parametrize(
+    "labels",
+    [[0.5, 1.7, 2.9], [2.0, 0.5], [0.0, np.nan], [np.nan]],
+    ids=["fractions", "one-fraction", "nan", "all-nan"],
+)
+def test_labels_that_are_not_integers_are_refused(name, labels, rng):
+    """Fractional and NaN labels are a DomainError, never truncated into
+    counts, cast with a numpy warning or a raw IndexError."""
+    oracle = get_oracle(name, 1.0, 4)
+    with pytest.raises(DomainError):
+        oracle.privatize(np.array(labels), rng)
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_integral_float_labels_privatize_like_int_labels(name):
+    """Schema-validated label columns are float64: ``2.0`` is label 2."""
+    oracle = get_oracle(name, 1.0, 4)
+    labels = np.array([0, 2, 3, 1, 2, 0])
+    from_ints = oracle.privatize(labels, np.random.default_rng(3))
+    from_floats = oracle.privatize(labels.astype(np.float64), np.random.default_rng(3))
+    if isinstance(from_ints, OlhReports):
+        from_ints, from_floats = (
+            np.concatenate([r.seeds.ravel(), r.buckets]) for r in (from_ints, from_floats)
+        )
+    assert np.array_equal(from_ints, from_floats)
+
+
+def test_grr_tally_refuses_fractional_reports():
+    oracle = GeneralizedRandomizedResponse(1.0, 4)
+    with pytest.raises(DomainError):
+        oracle.estimate(np.array([0.5, 1.7, 2.9]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fill", [0.5, np.nan, 2.0, -1.0, np.inf])
+def test_oue_tally_refuses_entries_that_are_not_bits(fill):
+    oracle = OptimizedUnaryEncoding(1.0, 4)
+    with pytest.raises(DomainError):
+        oracle.estimate(np.full((3, 4), fill))
+    one_bad = np.zeros((3, 4))
+    one_bad[1, 2] = fill
+    with pytest.raises(DomainError):
+        oracle.estimate(one_bad)
+
+
+def test_oue_oracle_and_collector_share_one_bit_check():
+    """The oracle's tally and the session collector refuse the same matrices."""
+    schema = Schema([CategoricalAttribute("c", n_categories=4)])
+    collector = LDPServer(schema, 1.0, protocols="oue").collectors["c"]
+    bits = np.eye(4)[[0, 3, 1]]
+    assert np.array_equal(collector.check_payload(bits), collector.oracle.check_reports(bits))
+    for bad in (np.full((3, 4), 0.5), np.zeros((3, 3))):
+        with pytest.raises((DimensionError, DomainError)) as from_collector:
+            collector.check_payload(bad)
+        with pytest.raises((DimensionError, DomainError)) as from_oracle:
+            collector.oracle.tally(bad)
+        assert from_collector.type is from_oracle.type
+        assert "'c'" in str(from_collector.value)
