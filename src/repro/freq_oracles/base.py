@@ -12,27 +12,34 @@ A :class:`FrequencyOracle` exposes:
 
 * :meth:`privatize` — user-side: perturb integer category labels into
   whatever report type the oracle uses;
-* :meth:`tally` — collector-side: validate reports and reduce them to the
-  oracle's support counts (label counts, bit-column sums or
-  hash-support counts) and the number of users;
+* :meth:`check_reports` and :meth:`support_counts` — collector-side: the
+  oracle is the only owner of its report format, so it both refuses
+  malformed reports (with a typed :class:`~repro.exceptions.ReproError`)
+  and reduces canonical ones to its integer support counts (label
+  counts, bit-column sums or hash-support counts); :meth:`tally`
+  composes the two, and the session's one
+  :class:`~repro.session.adapters.OracleCollector` calls them on every
+  payload;
 * :meth:`frequencies` — the unbiased estimator ``f̂ = (c/n − q) / (p − q)``
   every oracle shares, from counts and a user count; :meth:`estimate`
-  composes it with :meth:`tally`, and the session's oracle collectors
-  call it on their folded counts;
+  composes it with :meth:`tally`, and the oracle collector calls it on
+  its folded counts;
 * :meth:`estimation_variance` — the closed-form variance of one
   category's estimate, which is exactly what the paper's framework needs
   to build the Lemma-2-style Gaussian deviation model (the estimators
   are unbiased sums of i.i.d. per-user contributions);
 * :meth:`deviation_model` — that Gaussian, ready for HDR4ME.
 
-Each oracle supplies only :meth:`privatize`, :meth:`tally` and its
-:attr:`support_probabilities` ``(p, q)``.
+Each oracle supplies :meth:`privatize`, :meth:`check_reports`,
+:meth:`support_counts` and its :attr:`support_probabilities` ``(p, q)``;
+array reports need nothing more, and OLH's seed/bucket pairs also
+override :meth:`report_rows` and :meth:`concat_reports`.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +53,29 @@ from ..rng import RngLike, ensure_rng
 def _check_users(users: int) -> None:
     if users < 1:
         raise DimensionError("users must be >= 1, got %d" % users)
+
+
+def check_labels(
+    labels: Any, n_categories: int, where: str = "labels"
+) -> np.ndarray:
+    """``labels`` as an int64 copy of category labels in ``[0, n_categories)``.
+
+    Refuses anything but a one-dimensional array with ``DimensionError``.
+    Schema-validated label columns are float64, so integral floats pass;
+    fractions, NaN and labels out of range raise ``DomainError`` rather
+    than being truncated or wrapped. ``where`` names the labels in both
+    messages.
+    """
+    arr = np.asarray(labels)
+    if arr.ndim != 1:
+        raise DimensionError("%s must be one-dimensional" % where)
+    if arr.dtype.kind not in "biu" and (
+        arr.dtype.kind != "f" or np.any(arr != np.trunc(arr))
+    ):
+        raise DomainError("%s must be finite integers" % where)
+    if arr.size and (arr.min() < 0 or arr.max() >= n_categories):
+        raise DomainError("%s must lie in [0, %d)" % (where, n_categories))
+    return arr.astype(np.int64)
 
 
 class FrequencyOracle(abc.ABC):
@@ -75,8 +105,30 @@ class FrequencyOracle(abc.ABC):
         own category (``p``) and one specific other category (``q``)."""
 
     @abc.abstractmethod
-    def tally(self, reports) -> Tuple[np.ndarray, int]:
+    def check_reports(self, reports: Any, where: str) -> Any:
+        """Validate reports; return their canonical form.
+
+        Raises :class:`DimensionError` for a malformed shape or container
+        and :class:`DomainError` for entries outside the report alphabet;
+        ``where`` prefixes both messages. Empty reports pass.
+        """
+
+    @abc.abstractmethod
+    def support_counts(self, canonical: Any) -> np.ndarray:
+        """Exact int64 per-category support counts of canonical reports."""
+
+    def report_rows(self, canonical: Any) -> int:
+        """Number of users canonical reports carry."""
+        return int(np.asarray(canonical).shape[0])
+
+    def concat_reports(self, reports: Sequence[Any]) -> Any:
+        """Concatenate reports of several batches into one."""
+        return np.concatenate([np.asarray(r) for r in reports], axis=0)
+
+    def tally(self, reports: Any) -> Tuple[np.ndarray, int]:
         """Validate reports; return per-category support counts and users."""
+        canonical = self.check_reports(reports, "%s reports" % self.name.upper())
+        return self.support_counts(canonical), self.report_rows(canonical)
 
     def estimate(self, reports) -> np.ndarray:
         """Unbiased per-category frequency estimates from reports."""
@@ -138,22 +190,10 @@ class FrequencyOracle(abc.ABC):
     # --------------------------------------------------------------- helpers
 
     def _check_labels(self, labels: np.ndarray) -> np.ndarray:
-        arr = np.asarray(labels)
-        if arr.ndim != 1:
-            raise DimensionError("labels must be one-dimensional")
+        arr = check_labels(labels, self.n_categories)
         if arr.size == 0:
             raise DimensionError("labels must be non-empty")
-        # Schema-validated label columns are float64: accept integral
-        # floats, but refuse fractions and NaN rather than truncate them.
-        if arr.dtype.kind not in "biu" and (
-            arr.dtype.kind != "f" or np.any(arr != np.trunc(arr))
-        ):
-            raise DomainError("labels must be finite integers")
-        if arr.min() < 0 or arr.max() >= self.n_categories:
-            raise DomainError(
-                "labels must lie in [0, %d)" % self.n_categories
-            )
-        return arr.astype(np.int64)
+        return arr
 
     def _rng(self, rng: RngLike) -> np.random.Generator:
         return ensure_rng(rng)

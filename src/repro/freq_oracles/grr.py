@@ -15,13 +15,14 @@ GRR is optimal for small category counts and degrades linearly in ``v``
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Any, Tuple
 
 import numpy as np
 
+from ..exceptions import DomainError
 from ..mechanisms.base import select
 from ..rng import RngLike
-from .base import FrequencyOracle
+from .base import FrequencyOracle, check_labels
 
 
 class GeneralizedRandomizedResponse(FrequencyOracle):
@@ -57,7 +58,19 @@ class GeneralizedRandomizedResponse(FrequencyOracle):
     def support_probabilities(self) -> Tuple[float, float]:
         return self.p_true, self.p_other
 
-    def tally(self, reports: np.ndarray) -> Tuple[np.ndarray, int]:
+    def check_reports(self, reports: Any, where: str) -> np.ndarray:
+        """``reports`` as an int64 ``(n,)`` vector of noisy labels.
+
+        Unlike the user's labels, noisy labels never pass through a float
+        column, so a float dtype is refused even when integral.
+        """
+        arr = np.asarray(reports)
+        if arr.ndim == 1 and arr.dtype.kind not in "iu":
+            raise DomainError(
+                "%s must have an integer dtype, got %s" % (where, arr.dtype)
+            )
+        return check_labels(arr, self.n_categories, where)
+
+    def support_counts(self, canonical: np.ndarray) -> np.ndarray:
         """Per-category counts of the perturbed labels."""
-        arr = self._check_labels(reports)
-        return np.bincount(arr, minlength=self.n_categories), arr.size
+        return np.bincount(canonical, minlength=self.n_categories)

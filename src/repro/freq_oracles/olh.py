@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Any, Sequence, Tuple
 
 import numpy as np
 
-from ..exceptions import DimensionError
+from ..exceptions import DimensionError, DomainError
 from ..mechanisms.base import select
 from ..rng import RngLike
 from .base import FrequencyOracle
@@ -96,20 +96,52 @@ class OptimizedLocalHashing(FrequencyOracle):
         buckets = select(keep, true_buckets, lie, out=true_buckets)
         return OlhReports(seeds=seeds, buckets=buckets)
 
-    def support_counts(self, reports: OlhReports, chunk: int = 4096) -> np.ndarray:
+    def check_reports(self, reports: Any, where: str) -> OlhReports:
+        """``reports`` as int64 ``(n, 2)`` seeds and ``(n,)`` buckets.
+
+        Refuses another container, a non-integer dtype and disagreeing
+        shapes with ``DimensionError``, and buckets outside ``[0, g)``
+        with ``DomainError``.
+        """
+        if not isinstance(reports, OlhReports):
+            raise DimensionError("%s: expected OlhReports" % where)
+        seeds = np.asarray(reports.seeds)
+        buckets = np.asarray(reports.buckets)
+        if seeds.dtype.kind not in "iu" or buckets.dtype.kind not in "iu":
+            raise DimensionError(
+                "%s: seeds/buckets must be integers, got %s/%s"
+                % (where, seeds.dtype, buckets.dtype)
+            )
+        seeds = seeds.astype(np.int64)
+        buckets = buckets.astype(np.int64)
+        if (
+            seeds.ndim != 2
+            or seeds.shape[1] != 2
+            or buckets.ndim != 1
+            or seeds.shape[0] != buckets.size
+        ):
+            raise DimensionError(
+                "%s: shapes disagree: seeds %s, buckets %s"
+                % (where, seeds.shape, buckets.shape)
+            )
+        if buckets.size and (buckets.min() < 0 or buckets.max() >= self.n_buckets):
+            raise DomainError(
+                "%s: buckets must lie in [0, %d)" % (where, self.n_buckets)
+            )
+        return OlhReports(seeds=seeds, buckets=buckets)
+
+    def support_counts(self, canonical: OlhReports, chunk: int = 4096) -> np.ndarray:
         """Per-category support counts ``Σ_i 1[H(seed_i, j) = bucket_i]``.
 
         The additive aggregation statistic of OLH: exact integers, so
         partial counts from report batches sum to the one-shot counts.
         """
-        if not isinstance(reports, OlhReports):
-            raise DimensionError("expected OlhReports")
-        users = reports.buckets.size
+        users = canonical.buckets.size
         supports = np.zeros(self.n_categories, dtype=np.int64)
         categories = np.arange(self.n_categories, dtype=np.int64)
         for start in range(0, users, chunk):
-            seeds = reports.seeds[start : start + chunk]
-            observed = reports.buckets[start : start + chunk, None]
+            seeds = canonical.seeds[start : start + chunk]
+            observed = canonical.buckets[start : start + chunk, None]
             # Broadcast seeds (k, 1, 2) against categories (1, v): the
             # hash evaluates elementwise over the (k, v) grid with the
             # identical uint64 arithmetic the flat repeat/tile layout
@@ -121,10 +153,15 @@ class OptimizedLocalHashing(FrequencyOracle):
             supports += (hashed == observed).sum(axis=0)
         return supports
 
+    def report_rows(self, canonical: OlhReports) -> int:
+        return int(canonical.buckets.size)
+
+    def concat_reports(self, reports: Sequence[OlhReports]) -> OlhReports:
+        return OlhReports(
+            seeds=np.concatenate([r.seeds for r in reports], axis=0),
+            buckets=np.concatenate([r.buckets for r in reports], axis=0),
+        )
+
     @property
     def support_probabilities(self) -> Tuple[float, float]:
         return self.p_true, 1.0 / self.n_buckets
-
-    def tally(self, reports: OlhReports) -> Tuple[np.ndarray, int]:
-        """Support counts of every category and the number of users."""
-        return self.support_counts(reports), reports.buckets.size

@@ -12,7 +12,7 @@ the well-known ``4 e^ε / (n (e^ε − 1)²)`` at small ``f``.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Any, Tuple
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class OptimizedUnaryEncoding(FrequencyOracle):
     def support_probabilities(self) -> Tuple[float, float]:
         return self.p_keep, self.p_flip
 
-    def check_reports(self, reports, where: str = "OUE reports") -> np.ndarray:
+    def check_reports(self, reports: Any, where: str) -> np.ndarray:
         """``reports`` as a float64 ``(n, v)`` matrix whose entries are bits.
 
         Refuses another shape with ``DimensionError`` and any entry that is
@@ -67,7 +67,6 @@ class OptimizedUnaryEncoding(FrequencyOracle):
             raise DomainError("%s: entries must be 0/1 bits" % where)
         return matrix
 
-    def tally(self, reports: np.ndarray) -> Tuple[np.ndarray, int]:
+    def support_counts(self, canonical: np.ndarray) -> np.ndarray:
         """Column sums of the bit matrix."""
-        matrix = self.check_reports(reports)
-        return matrix.sum(axis=0), matrix.shape[0]
+        return np.rint(canonical.sum(axis=0)).astype(np.int64)

@@ -22,7 +22,8 @@ from typing import Tuple
 
 import numpy as np
 
-from ..exceptions import DimensionError, DomainError
+from ..exceptions import DimensionError
+from ..freq_oracles.base import check_labels
 from ..mechanisms.base import AffineTransformedMechanism, Mechanism
 
 #: Native domain of histogram-encoded entries.
@@ -35,20 +36,14 @@ def one_hot_encode(categories: np.ndarray, n_categories: int) -> np.ndarray:
     Parameters
     ----------
     categories:
-        Integer category labels in ``[0, n_categories)``.
+        Integer category labels in ``[0, n_categories)``, checked as the
+        oracles check theirs (:func:`repro.freq_oracles.base.check_labels`).
     n_categories:
         Number of categories ``v``.
     """
-    labels = np.asarray(categories)
-    if labels.ndim != 1:
-        raise DimensionError("categories must be one-dimensional")
     if n_categories < 2:
         raise DimensionError("need at least two categories, got %d" % n_categories)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_categories):
-        raise DomainError(
-            "category labels must lie in [0, %d), got range [%d, %d]"
-            % (n_categories, labels.min(), labels.max())
-        )
+    labels = check_labels(categories, n_categories, "category labels")
     encoded = np.zeros((labels.size, n_categories), dtype=np.float64)
     encoded[np.arange(labels.size), labels] = 1.0
     return encoded
@@ -56,7 +51,7 @@ def one_hot_encode(categories: np.ndarray, n_categories: int) -> np.ndarray:
 
 def true_frequencies(categories: np.ndarray, n_categories: int) -> np.ndarray:
     """Exact category frequencies of a label column (for evaluation)."""
-    labels = np.asarray(categories)
+    labels = check_labels(categories, n_categories, "category labels")
     counts = np.bincount(labels, minlength=n_categories)
     return counts / max(labels.size, 1)
 

@@ -15,12 +15,13 @@ through one lookup, returning a
 ``privatize``/``aggregate``/``deviation_model`` surface. Mechanism names
 are adapted lazily, so every mechanism registered with
 :func:`register_mechanism` — including third-party ones — is immediately
-resolvable as a protocol too.
+resolvable as a protocol too. The oracle names are read from the one
+:mod:`repro.freq_oracles` name table, so no list of them lives here.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Type
 
 from ..exceptions import ParameterError
 from .base import Mechanism
@@ -34,12 +35,31 @@ from .staircase import StaircaseMechanism
 
 MechanismFactory = Callable[[], Mechanism]
 
-_REGISTRY: Dict[str, MechanismFactory] = {}
+#: Built-in mechanisms, listed rather than passed through
+#: :func:`register_mechanism`: its name check reads the oracle table, which
+#: cannot be imported while this package is still loading.
+_REGISTRY: Dict[str, MechanismFactory] = {
+    "laplace": LaplaceMechanism,
+    "staircase": StaircaseMechanism,
+    "scdf": SCDFMechanism,
+    "duchi": DuchiMechanism,
+    "piecewise": PiecewiseMechanism,
+    "hybrid": HybridMechanism,
+    # The registry exposes the [−1, 1]-standardized square wave; the
+    # native unit-interval variant is available as "square_wave_unit".
+    "square_wave": standardized,
+    "square_wave_unit": SquareWaveMechanism,
+}
 
-#: Names resolved by the unified protocol registry before mechanisms.
-#: Reserved so a mechanism registration cannot be silently shadowed by
-#: :func:`get_protocol` (which checks protocols first).
-_RESERVED_PROTOCOL_NAMES = frozenset(("grr", "oue", "olh"))
+
+def _oracles() -> Dict[str, Type]:
+    """The frequency-oracle name table of :mod:`repro.freq_oracles`.
+
+    Imported on use: that package imports this one.
+    """
+    from ..freq_oracles import _ORACLES
+
+    return _ORACLES
 
 
 def register_mechanism(name: str, factory: MechanismFactory, overwrite: bool = False) -> None:
@@ -58,7 +78,7 @@ def register_mechanism(name: str, factory: MechanismFactory, overwrite: bool = F
     key = name.lower()
     if key in _REGISTRY and not overwrite:
         raise ParameterError("mechanism %r is already registered" % name)
-    if key in _PROTOCOLS or key in _RESERVED_PROTOCOL_NAMES:
+    if key in _PROTOCOLS or key in _oracles():
         raise ParameterError(
             "name %r is taken by the unified protocol registry; a mechanism "
             "under it would be unreachable through get_protocol" % name
@@ -94,9 +114,9 @@ def available_mechanisms() -> List[str]:
 # Unified protocol registry (mechanisms *and* frequency oracles)
 # --------------------------------------------------------------------------
 
-#: Factories for non-mechanism protocols (the frequency oracles, plus any
-#: third-party registration). Mechanism names resolve through ``_REGISTRY``
-#: and are wrapped on the fly, so they are never duplicated here.
+#: Factories for third-party protocols. Mechanism and oracle names resolve
+#: through ``_REGISTRY`` and the oracle table and are wrapped on the fly,
+#: so they are never duplicated here.
 _PROTOCOLS: Dict[str, Callable[[], object]] = {}
 
 
@@ -117,18 +137,10 @@ def register_protocol(
         Allow replacing an existing registration.
     """
     key = name.lower()
-    if not overwrite and (key in _PROTOCOLS or key in _REGISTRY):
+    taken = key in _PROTOCOLS or key in _REGISTRY or key in _oracles()
+    if taken and not overwrite:
         raise ParameterError("protocol %r is already registered" % name)
     _PROTOCOLS[key] = factory
-
-
-def _bootstrap_protocols() -> None:
-    """Import the session adapters so the oracle protocols self-register.
-
-    Deferred to first use: :mod:`repro.session` imports this module, so a
-    module-level import here would be circular.
-    """
-    from ..session import adapters  # noqa: F401  (import side effect)
 
 
 def get_protocol(name: str):
@@ -145,10 +157,14 @@ def get_protocol(name: str):
     KeyError
         With the list of known names when ``name`` is unknown.
     """
-    _bootstrap_protocols()
     key = name.lower()
     if key in _PROTOCOLS:
         return _PROTOCOLS[key]()
+    oracles = _oracles()
+    if key in oracles:
+        from ..session.adapters import OracleProtocol
+
+        return OracleProtocol(oracles[key])
     if key in _REGISTRY:
         from ..session.adapters import MechanismProtocol
 
@@ -161,8 +177,7 @@ def get_protocol(name: str):
 
 def available_protocols() -> List[str]:
     """Sorted names resolvable by :func:`get_protocol`."""
-    _bootstrap_protocols()
-    return sorted(set(_REGISTRY) | set(_PROTOCOLS))
+    return sorted(set(_REGISTRY) | set(_PROTOCOLS) | set(_oracles()))
 
 
 def resolve_protocol_name(name: str) -> str:
@@ -177,23 +192,11 @@ def resolve_protocol_name(name: str) -> str:
     KeyError
         With the list of known names when ``name`` is unknown.
     """
-    _bootstrap_protocols()
     key = str(name).lower()
-    if key in _PROTOCOLS or key in _REGISTRY:
+    if key in _PROTOCOLS or key in _REGISTRY or key in _oracles():
         return key
     raise KeyError(
         "unknown protocol %r; available: %s"
         % (name, ", ".join(available_protocols()))
     )
 
-
-register_mechanism("laplace", LaplaceMechanism)
-register_mechanism("staircase", StaircaseMechanism)
-register_mechanism("scdf", SCDFMechanism)
-register_mechanism("duchi", DuchiMechanism)
-register_mechanism("piecewise", PiecewiseMechanism)
-register_mechanism("hybrid", HybridMechanism)
-# The registry exposes the [−1, 1]-standardized square wave; the native
-# unit-interval variant is available as "square_wave_unit".
-register_mechanism("square_wave", standardized)
-register_mechanism("square_wave_unit", SquareWaveMechanism)

@@ -23,6 +23,11 @@ is what makes :meth:`repro.session.LDPServer.ingest` incremental: the
 estimate after ten small batches is bit-identical to the estimate after
 one concatenated batch.
 
+Each oracle's report check and support counts live in
+:mod:`repro.freq_oracles`, not here: the one :class:`OracleCollector`
+serves GRR, OUE and OLH by delegating to the oracle it binds, and the
+registry reads the oracle names from that package's name table.
+
 Budget semantics: a collector receives the whole per-attribute budget
 ``ε/m``. Numeric mechanisms spend it directly; histogram encoding spends
 ``ε/2m`` per one-hot entry (a category change flips two entries); the
@@ -45,9 +50,6 @@ from ..framework.deviation import DeviationModel, build_deviation_model
 from ..framework.multivariate import MultivariateDeviationModel
 from ..framework.population import ValueDistribution
 from ..freq_oracles.base import FrequencyOracle
-from ..freq_oracles.grr import GeneralizedRandomizedResponse
-from ..freq_oracles.olh import OlhReports, OptimizedLocalHashing
-from ..freq_oracles.oue import OptimizedUnaryEncoding
 from ..hdr4me.frequency import adapt_to_unit_domain, one_hot_encode
 from ..mechanisms.base import (
     AffineTransformedMechanism,
@@ -237,12 +239,10 @@ class CollectionProtocol(abc.ABC):
 
 
 class SumStateMixin:
-    """Merge/snapshot/restore shared by :class:`StreamingSum`-backed states.
+    """State plumbing of collectors whose state is a :class:`StreamingSum`.
 
     Subclasses set :attr:`state_kind` (the snapshot family tag) and
-    override :meth:`_sum_width` when the state is wider than one column;
-    the state object returned by ``new_state`` must carry its accumulator
-    in a ``sums`` attribute.
+    override :meth:`_sum_width` when the state is wider than one column.
     """
 
     state_kind: str = "sum"
@@ -250,18 +250,25 @@ class SumStateMixin:
     def _sum_width(self) -> int:
         return 1
 
-    def merge_states(self, state: Any, other: Any) -> None:
-        state.sums.merge(other.sums)
+    def new_state(self) -> StreamingSum:
+        return StreamingSum(self._sum_width())
 
-    def delta_states(self, state: Any, base: Any) -> Any:
-        delta = self.new_state()
-        delta.sums = state.sums.delta(base.sums, self.attribute.name)
-        return delta
+    def fold(self, state: StreamingSum, payload: np.ndarray) -> None:
+        state.add(payload, assume_finite=True)
 
-    def snapshot(self, state: Any) -> dict:
-        return {"kind": self.state_kind, "sums": state.sums.state_dict()}
+    def reports(self, state: StreamingSum) -> int:
+        return state.rows
 
-    def restore(self, snapshot: dict) -> Any:
+    def merge_states(self, state: StreamingSum, other: StreamingSum) -> None:
+        state.merge(other)
+
+    def delta_states(self, state: StreamingSum, base: StreamingSum) -> StreamingSum:
+        return state.delta(base, self.attribute.name)
+
+    def snapshot(self, state: StreamingSum) -> dict:
+        return {"kind": self.state_kind, "sums": state.state_dict()}
+
+    def restore(self, snapshot: dict) -> StreamingSum:
         data = _require_snapshot_kind(snapshot, self.state_kind)
         sums = StreamingSum.from_state_dict(data.get("sums"))
         if sums.width != self._sum_width():
@@ -274,18 +281,7 @@ class SumStateMixin:
                     sums.width,
                 )
             )
-        state = self.new_state()
-        state.sums = sums
-        return state
-
-
-class _NumericState:
-    """Additive state for one numeric attribute: streaming sum + count."""
-
-    __slots__ = ("sums",)
-
-    def __init__(self) -> None:
-        self.sums = StreamingSum(width=1)
+        return sums
 
 
 class NumericMechanismCollector(SumStateMixin, AttributeCollector):
@@ -328,9 +324,6 @@ class NumericMechanismCollector(SumStateMixin, AttributeCollector):
             return None
         return key
 
-    def new_state(self) -> _NumericState:
-        return _NumericState()
-
     def check_payload(self, payload: Any) -> np.ndarray:
         arr = np.asarray(payload, dtype=np.float64)
         if arr.ndim != 1:
@@ -345,15 +338,9 @@ class NumericMechanismCollector(SumStateMixin, AttributeCollector):
             )
         return arr
 
-    def fold(self, state: _NumericState, payload: np.ndarray) -> None:
-        state.sums.add(payload[:, None], assume_finite=True)
-
-    def reports(self, state: _NumericState) -> int:
-        return state.sums.rows
-
-    def estimate(self, state: _NumericState) -> np.ndarray:
+    def estimate(self, state: StreamingSum) -> np.ndarray:
         count = self._require_reports(state)
-        mean = state.sums.value()[0] / count
+        mean = state.value()[0] / count
         if self._bias is _UNSET:
             self._bias = self.mechanism.deterministic_bias(self.epsilon)
         bias = self._bias
@@ -361,7 +348,7 @@ class NumericMechanismCollector(SumStateMixin, AttributeCollector):
             mean = mean - bias
         return np.array([mean])
 
-    def deviation_model(self, state: _NumericState) -> MultivariateDeviationModel:
+    def deviation_model(self, state: StreamingSum) -> MultivariateDeviationModel:
         count = self._require_reports(state)
         population = None
         if self.mechanism.bounded:
@@ -372,15 +359,6 @@ class NumericMechanismCollector(SumStateMixin, AttributeCollector):
             self.mechanism, self.epsilon, count, population
         )
         return MultivariateDeviationModel([model])
-
-
-class _HistogramState:
-    """Additive state for histogram-encoded entries: ``(v,)`` sums + count."""
-
-    __slots__ = ("sums",)
-
-    def __init__(self, n_categories: int) -> None:
-        self.sums = StreamingSum(width=n_categories)
 
 
 class HistogramMechanismCollector(SumStateMixin, AttributeCollector):
@@ -406,14 +384,10 @@ class HistogramMechanismCollector(SumStateMixin, AttributeCollector):
         self.epsilon_per_entry = self.epsilon / 2.0
 
     def privatize(self, values: np.ndarray, rng: RngLike = None) -> np.ndarray:
-        labels = np.asarray(values).astype(np.int64)
-        encoded = one_hot_encode(labels, self.attribute.n_categories)
+        encoded = one_hot_encode(values, self.attribute.n_categories)
         return self.mechanism.perturb(
             encoded, self.epsilon_per_entry, ensure_rng(rng)
         )
-
-    def new_state(self) -> _HistogramState:
-        return _HistogramState(self.attribute.n_categories)
 
     def check_payload(self, payload: Any) -> np.ndarray:
         matrix = np.asarray(payload, dtype=np.float64)
@@ -429,15 +403,9 @@ class HistogramMechanismCollector(SumStateMixin, AttributeCollector):
             )
         return matrix
 
-    def fold(self, state: _HistogramState, payload: np.ndarray) -> None:
-        state.sums.add(payload, assume_finite=True)
-
-    def reports(self, state: _HistogramState) -> int:
-        return state.sums.rows
-
-    def entry_means(self, state: _HistogramState) -> np.ndarray:
+    def entry_means(self, state: StreamingSum) -> np.ndarray:
         count = self._require_reports(state)
-        return state.sums.value() / count
+        return state.value() / count
 
     def _affine(self) -> tuple:
         affine = affine_mean_map(self.mechanism, self.epsilon_per_entry)
@@ -445,11 +413,11 @@ class HistogramMechanismCollector(SumStateMixin, AttributeCollector):
             return 1.0, 0.0
         return affine
 
-    def estimate(self, state: _HistogramState) -> np.ndarray:
+    def estimate(self, state: StreamingSum) -> np.ndarray:
         slope, intercept = self._affine()
         return (self.entry_means(state) - intercept) / slope
 
-    def deviation_model(self, state: _HistogramState) -> MultivariateDeviationModel:
+    def deviation_model(self, state: StreamingSum) -> MultivariateDeviationModel:
         """Plug-in Bernoulli model per entry, rescaled by the calibration.
 
         The calibrated estimate divides by the affine slope, so the
@@ -503,7 +471,7 @@ class MechanismProtocol(CollectionProtocol):
 
 
 class _OracleState:
-    """Additive state shared by the oracle collectors: counts + users."""
+    """Additive state of the oracle collector: support counts + users."""
 
     __slots__ = ("counts", "users")
 
@@ -513,31 +481,53 @@ class _OracleState:
 
 
 class OracleCollector(AttributeCollector):
-    """Common plumbing for the three Wang et al. oracle collectors.
+    """Aggregation for one Wang et al. frequency oracle (GRR, OUE or OLH).
 
-    Subclasses accumulate integer per-category statistics (label counts,
-    bit-column sums or hash-support counts) — exact arithmetic, hence
-    trivially batching-invariant — and the oracle's own
+    The oracle owns its report format: payloads are checked by its
+    :meth:`~repro.freq_oracles.base.FrequencyOracle.check_reports` and
+    folded as its exact integer
+    :meth:`~repro.freq_oracles.base.FrequencyOracle.support_counts`
+    (label counts, bit-column sums or hash-support counts), hence
+    trivially batching-invariant, and the oracle's own
     :meth:`~repro.freq_oracles.base.FrequencyOracle.frequencies` turns
     them into the unbiased estimate.
     """
 
-    oracle_cls = FrequencyOracle  # overridden by subclasses
-
-    def __init__(self, attribute: CategoricalAttribute, epsilon: float) -> None:
+    def __init__(
+        self, oracle_cls: type, attribute: CategoricalAttribute, epsilon: float
+    ) -> None:
         if attribute.kind != "categorical":
             raise DimensionError(
                 "frequency oracle %r only serves categorical attributes, "
-                "got numeric attribute %r" % (self.oracle_cls.name, attribute.name)
+                "got numeric attribute %r" % (oracle_cls.name, attribute.name)
             )
         super().__init__(attribute, epsilon)
-        self.oracle = self.oracle_cls(self.epsilon, attribute.n_categories)
+        self.oracle: FrequencyOracle = oracle_cls(
+            self.epsilon, attribute.n_categories
+        )
+        self._where = "attribute %r: %s payload" % (
+            attribute.name,
+            oracle_cls.name.upper(),
+        )
 
     def privatize(self, values: np.ndarray, rng: RngLike = None) -> Any:
         return self.oracle.privatize(values, rng)
 
     def new_state(self) -> _OracleState:
         return _OracleState(self.attribute.n_categories)
+
+    def check_payload(self, payload: Any) -> Any:
+        return self.oracle.check_reports(payload, self._where)
+
+    def fold(self, state: _OracleState, payload: Any) -> None:
+        state.counts += self.oracle.support_counts(payload)
+        state.users += self.oracle.report_rows(payload)
+
+    def payload_rows(self, payload: Any) -> int:
+        return self.oracle.report_rows(payload)
+
+    def concat_payloads(self, payloads: Sequence[Any]) -> Any:
+        return self.oracle.concat_reports(payloads)
 
     def reports(self, state: _OracleState) -> int:
         return state.users
@@ -597,131 +587,12 @@ class OracleCollector(AttributeCollector):
         return self.oracle.deviation_model(state.users, frequencies=frequencies)
 
 
-class GrrCollector(OracleCollector):
-    """GRR aggregation: exact per-category counts of the noisy labels."""
-
-    oracle_cls = GeneralizedRandomizedResponse
-
-    def check_payload(self, payload: Any) -> np.ndarray:
-        arr = np.asarray(payload)
-        if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
-            raise DimensionError(
-                "attribute %r: expected a (k,) integer label vector, got "
-                "%s of dtype %s" % (self.attribute.name, arr.shape, arr.dtype)
-            )
-        labels = arr.astype(np.int64)
-        if labels.size and (
-            labels.min() < 0 or labels.max() >= self.attribute.n_categories
-        ):
-            raise DomainError(
-                "attribute %r: noisy labels must lie in [0, %d)"
-                % (self.attribute.name, self.attribute.n_categories)
-            )
-        return labels
-
-    def fold(self, state: _OracleState, payload: np.ndarray) -> None:
-        state.counts += np.bincount(
-            payload, minlength=self.attribute.n_categories
-        )
-        state.users += payload.size
-
-
-class OueCollector(OracleCollector):
-    """OUE aggregation: exact column sums of the perturbed bit matrix."""
-
-    oracle_cls = OptimizedUnaryEncoding
-
-    def check_payload(self, payload: Any) -> np.ndarray:
-        return self.oracle.check_reports(
-            payload, "attribute %r: OUE payload" % self.attribute.name
-        )
-
-    def fold(self, state: _OracleState, payload: np.ndarray) -> None:
-        state.counts += np.rint(payload.sum(axis=0)).astype(np.int64)
-        state.users += payload.shape[0]
-
-
-class OlhCollector(OracleCollector):
-    """OLH aggregation: exact support counts over the hash reports."""
-
-    oracle_cls = OptimizedLocalHashing
-
-    def check_payload(self, payload: Any) -> OlhReports:
-        if not isinstance(payload, OlhReports):
-            raise DimensionError(
-                "attribute %r: expected OlhReports payload" % self.attribute.name
-            )
-        seeds = np.asarray(payload.seeds)
-        buckets = np.asarray(payload.buckets)
-        if not (
-            np.issubdtype(seeds.dtype, np.integer)
-            and np.issubdtype(buckets.dtype, np.integer)
-        ):
-            raise DimensionError(
-                "attribute %r: OLH seeds/buckets must be integers, got "
-                "%s/%s" % (self.attribute.name, seeds.dtype, buckets.dtype)
-            )
-        seeds = seeds.astype(np.int64)
-        buckets = buckets.astype(np.int64)
-        if (
-            seeds.ndim != 2
-            or seeds.shape[1] != 2
-            or buckets.ndim != 1
-            or seeds.shape[0] != buckets.size
-        ):
-            raise DimensionError(
-                "attribute %r: OLH payload shapes disagree: seeds %s, "
-                "buckets %s" % (self.attribute.name, seeds.shape, buckets.shape)
-            )
-        if buckets.size and (
-            buckets.min() < 0 or buckets.max() >= self.oracle.n_buckets
-        ):
-            raise DomainError(
-                "attribute %r: OLH buckets must lie in [0, %d)"
-                % (self.attribute.name, self.oracle.n_buckets)
-            )
-        return OlhReports(seeds=seeds, buckets=buckets)
-
-    def fold(self, state: _OracleState, payload: OlhReports) -> None:
-        state.counts += self.oracle.support_counts(payload)
-        state.users += payload.buckets.size
-
-    def payload_rows(self, payload: OlhReports) -> int:
-        return int(payload.buckets.size)
-
-    def concat_payloads(self, payloads: Sequence[OlhReports]) -> OlhReports:
-        return OlhReports(
-            seeds=np.concatenate([p.seeds for p in payloads], axis=0),
-            buckets=np.concatenate([p.buckets for p in payloads], axis=0),
-        )
-
-
 class OracleProtocol(CollectionProtocol):
-    """Adapter exposing one :class:`FrequencyOracle` family as a protocol."""
+    """Adapter exposing one :class:`FrequencyOracle` class as a protocol."""
 
-    def __init__(self, collector_cls: type, name: str) -> None:
-        self.collector_cls = collector_cls
-        self.name = name
+    def __init__(self, oracle_cls: type) -> None:
+        self.oracle_cls = oracle_cls
+        self.name = oracle_cls.name
 
     def bind(self, attribute: Attribute, epsilon: float) -> AttributeCollector:
-        return self.collector_cls(attribute, epsilon)
-
-
-#: The oracle protocols registered with the unified registry.
-ORACLE_PROTOCOLS = {
-    "grr": lambda: OracleProtocol(GrrCollector, "grr"),
-    "oue": lambda: OracleProtocol(OueCollector, "oue"),
-    "olh": lambda: OracleProtocol(OlhCollector, "olh"),
-}
-
-
-def _register_default_protocols() -> None:
-    """Idempotently register the oracle protocols with the registry."""
-    from ..mechanisms import registry
-
-    for name, factory in ORACLE_PROTOCOLS.items():
-        if name not in registry._PROTOCOLS:
-            registry.register_protocol(name, factory)
-
-
-_register_default_protocols()
+        return OracleCollector(self.oracle_cls, attribute, epsilon)

@@ -40,3 +40,40 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ratio" in out
         assert "piecewise" in out
+
+
+#: ``collection`` flag combinations the selected mode would ignore or
+#: cannot honour, and the flag the error must name. Every case is refused
+#: by the flag checks before any socket, store or round is started.
+COLLECTION_MISUSE = [
+    ("quick-serve", ["--quick", "--serve", "127.0.0.1:0"], "--quick"),
+    ("shards-connect", ["--shards", "2", "--connect", "127.0.0.1:9"], "--shards"),
+    ("shards-root", ["--shards", "2", "--root", "127.0.0.1:0"], "--shards"),
+    ("retry-oneshot", ["--retry", "3", "--oneshot", "7,8"], "--retry"),
+    ("push-every-serve", ["--push-every", "1", "--serve", "127.0.0.1:0"], "--push-every"),
+    ("tls-ca-serve", ["--tls-ca", "ca.pem", "--serve", "127.0.0.1:0"], "--tls-ca"),
+    (
+        "checkpoint-every-alone",
+        ["--checkpoint-every", "5", "--serve", "127.0.0.1:0"],
+        "--checkpoint-every",
+    ),
+    (
+        "tls-cert-without-key",
+        ["--tls-cert", "cert.pem", "--serve", "127.0.0.1:0"],
+        "--tls-cert",
+    ),
+    ("metrics-in-process", ["--quick", "--metrics", "m.json"], "--metrics"),
+    ("users-in-process", ["--quick", "--users", "10"], "--users"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, offending",
+    [case[1:] for case in COLLECTION_MISUSE],
+    ids=[case[0] for case in COLLECTION_MISUSE],
+)
+def test_collection_refuses_flag_misuse(flags, offending, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["collection"] + flags)
+    assert exit_info.value.code == 2
+    assert offending in capsys.readouterr().err

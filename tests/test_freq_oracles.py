@@ -347,16 +347,94 @@ def test_oue_tally_refuses_entries_that_are_not_bits(fill):
         oracle.estimate(one_bad)
 
 
-def test_oue_oracle_and_collector_share_one_bit_check():
-    """The oracle's tally and the session collector refuse the same matrices."""
+def _olh_reports(seeds, buckets):
+    return OlhReports(seeds=np.asarray(seeds), buckets=np.asarray(buckets))
+
+
+#: Malformed reports per oracle (v = 4, ε = 1, so OLH has g = 3 buckets)
+#: and the ReproError subclass both the oracle and its collector raise.
+MALFORMED_REPORTS = [
+    ("grr", "fractions", np.array([0.5, 1.7]), DomainError),
+    ("grr", "integral-floats", np.array([0.0, 2.0]), DomainError),
+    ("grr", "empty-floats", np.array([]), DomainError),
+    ("grr", "out-of-range", np.array([0, 4]), DomainError),
+    ("grr", "negative", np.array([-1, 2]), DomainError),
+    ("grr", "booleans", np.array([True, False]), DomainError),
+    ("grr", "matrix", np.zeros((2, 2), dtype=np.int64), DimensionError),
+    ("oue", "halves", np.full((3, 4), 0.5), DomainError),
+    ("oue", "nan", np.array([[0.0, np.nan, 1.0, 0.0]]), DomainError),
+    ("oue", "narrow", np.zeros((3, 3)), DimensionError),
+    ("oue", "vector", np.zeros(4), DimensionError),
+    (
+        "olh",
+        "buckets-out-of-range",
+        _olh_reports(np.ones((4, 2), dtype=np.int64), [99, -5, 1000, 7]),
+        DomainError,
+    ),
+    (
+        "olh",
+        "shape-mismatch",
+        _olh_reports(np.ones((2, 2), dtype=np.int64), [0, 1, 2, 0]),
+        DimensionError,
+    ),
+    ("olh", "float-seeds", _olh_reports(np.ones((4, 2)), [0, 1, 2, 0]), DimensionError),
+    (
+        "olh",
+        "float-buckets",
+        _olh_reports(np.ones((2, 2), dtype=np.int64), [0.0, 1.0]),
+        DimensionError,
+    ),
+    ("olh", "not-olh-reports", np.zeros(5, dtype=np.int64), DimensionError),
+]
+
+
+EMPTY_REPORTS = {
+    "grr": np.zeros(0, dtype=np.int64),
+    "oue": np.zeros((0, 4)),
+    "olh": _olh_reports(np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)),
+}
+
+
+def _oracle_collector(name):
     schema = Schema([CategoricalAttribute("c", n_categories=4)])
-    collector = LDPServer(schema, 1.0, protocols="oue").collectors["c"]
-    bits = np.eye(4)[[0, 3, 1]]
-    assert np.array_equal(collector.check_payload(bits), collector.oracle.check_reports(bits))
-    for bad in (np.full((3, 4), 0.5), np.zeros((3, 3))):
-        with pytest.raises((DimensionError, DomainError)) as from_collector:
-            collector.check_payload(bad)
-        with pytest.raises((DimensionError, DomainError)) as from_oracle:
-            collector.oracle.tally(bad)
-        assert from_collector.type is from_oracle.type
-        assert "'c'" in str(from_collector.value)
+    return LDPServer(schema, 1.0, protocols=name).collectors["c"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "name, reports, error",
+    [case[0:1] + case[2:] for case in MALFORMED_REPORTS],
+    ids=["%s-%s" % case[:2] for case in MALFORMED_REPORTS],
+)
+def test_oracle_and_collector_share_one_report_check(name, reports, error):
+    """The oracle's tally and the session collector refuse the same reports
+    with the same typed error: the oracle owns its report format."""
+    collector = _oracle_collector(name)
+    with pytest.raises(error) as from_collector:
+        collector.check_payload(reports)
+    with pytest.raises(error) as from_oracle:
+        collector.oracle.tally(reports)
+    assert from_collector.type is from_oracle.type
+    assert "'c'" in str(from_collector.value)
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_oracle_and_collector_count_the_same_reports(name, rng):
+    """Well-formed reports pass both checks and fold into the oracle's
+    own counts; empty reports pass, and only the estimate refuses them."""
+    collector = _oracle_collector(name)
+    oracle = collector.oracle
+    reports = oracle.privatize(rng.integers(0, 4, 200), rng)
+    state = collector.new_state()
+    collector.accumulate(state, reports)
+    counts, users = oracle.tally(reports)
+    assert np.array_equal(state.counts, counts)
+    assert state.users == users == collector.payload_rows(reports) == 200
+    assert np.array_equal(collector.estimate(state), oracle.estimate(reports))
+    doubled = collector.concat_payloads([reports, reports])
+    assert collector.payload_rows(doubled) == 400
+    empty = collector.check_payload(EMPTY_REPORTS[name])
+    assert collector.payload_rows(empty) == 0
+    assert oracle.tally(empty)[1] == 0
+    with pytest.raises(DimensionError):
+        oracle.estimate(empty)

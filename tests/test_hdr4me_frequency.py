@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import AggregationError, DimensionError, DomainError
+from repro.freq_oracles import get_oracle
 from repro.hdr4me import (
     Recalibrator,
     one_hot_encode,
@@ -61,6 +62,33 @@ class TestEncoding:
     def test_true_frequencies(self):
         freq = true_frequencies(np.array([0, 0, 1, 2]), 4)
         np.testing.assert_allclose(freq, [0.5, 0.25, 0.25, 0.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "helper", [one_hot_encode, true_frequencies], ids=lambda f: f.__name__
+)
+@pytest.mark.parametrize(
+    "labels",
+    [[0.5, 1.7], [0.0, np.nan], [0, 7], [-1, 0]],
+    ids=["fractions", "nan", "above-range", "negative"],
+)
+def test_label_helpers_refuse_what_the_oracles_refuse(helper, labels):
+    """One label rule: a DomainError, never a raw IndexError or TypeError
+    and never extra frequencies for labels past ``v``."""
+    with pytest.raises(DomainError):
+        helper(np.array(labels), 4)
+    with pytest.raises(DomainError):
+        get_oracle("grr", 1.0, 4).privatize(np.array(labels), 0)
+
+
+def test_label_helpers_accept_integral_floats():
+    labels = np.array([0, 2, 3, 2])
+    floats = labels.astype(np.float64)
+    np.testing.assert_array_equal(one_hot_encode(floats, 4), one_hot_encode(labels, 4))
+    np.testing.assert_array_equal(
+        true_frequencies(floats, 4), [0.25, 0.0, 0.5, 0.25]
+    )
 
 
 class TestPostprocess:
