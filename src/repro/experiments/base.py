@@ -6,19 +6,25 @@ configurable scale (paper-scale by default, scaled-down in the benchmark
 harness), return a small result dataclass, and know how to format
 themselves as the rows/series the paper reports. This module holds the
 pieces they share: the fast single-dimension simulator used by the CLT
-validations, and row-formatting helpers.
+validations, the Fig. 4/5 repeat loop, and row-formatting helpers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Any, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from ..analysis.metrics import mse
 from ..exceptions import DimensionError
+from ..hdr4me.recalibrator import Recalibrator
 from ..mechanisms.base import Mechanism
-from ..rng import RngLike, ensure_rng
+from ..rng import RngLike, ensure_rng, spawn_children
+
+#: The series of Fig. 4 and Fig. 5: the baseline aggregation against
+#: HDR4ME with L1 and with L2.
+SERIES_LABELS = ("baseline", "l1", "l2")
 
 
 def simulate_dimension_deviations(
@@ -87,6 +93,40 @@ def simulate_dimension_deviations(
         perturbed = mechanism.perturb(reporting, epsilon_per_dim, gen)
         deviations[k] = perturbed.mean() - bias - truth
     return deviations
+
+
+def repeated_mse_values(
+    pipeline: Any,
+    data: np.ndarray,
+    truth: np.ndarray,
+    populations: Optional[Sequence[Any]],
+    rng: np.random.Generator,
+    repeats: int,
+) -> dict:
+    """Mean MSE of each :data:`SERIES_LABELS` series over ``repeats`` rounds.
+
+    The repeat loop of Fig. 4 and Fig. 5: each round runs ``pipeline``
+    (a :class:`~repro.protocol.MeanEstimationPipeline`) on ``data`` with
+    its own child generator of ``rng``, builds the Theorem 1 model for
+    the users it saw (over ``populations`` when the mechanism is
+    bounded), and scores the raw estimate and both recalibrations of it
+    against ``truth``.
+    """
+    recalibrators = {
+        "l1": Recalibrator(norm="l1"),
+        "l2": Recalibrator(norm="l2"),
+    }
+    sums = {label: 0.0 for label in SERIES_LABELS}
+    for child in spawn_children(rng, repeats):
+        result = pipeline.run(data, child)
+        model = pipeline.deviation_model(
+            users=result.users, populations=populations
+        )
+        sums["baseline"] += mse(result.theta_hat, truth)
+        for label, recal in recalibrators.items():
+            enhanced = recal.recalibrate(result.theta_hat, model)
+            sums[label] += mse(enhanced.theta_star, truth)
+    return {label: sums[label] / repeats for label in SERIES_LABELS}
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,45 @@ QUICK_USERS = 20_000
 QUICK_REPEATS = 2
 QUICK_CLT_REPEATS = 300
 
+#: The ``collection`` modes: the in-process experiment (no mode flag)
+#: and the five socket modes, each named by its flag.
+IN_PROCESS = "the in-process experiment"
+SOCKET_MODES = ("--serve", "--connect", "--oneshot", "--root", "--edge")
+SERVING = ("--serve", "--root", "--edge")
+
+#: The one place that says which ``collection`` mode reads which flag:
+#: each mode-specific flag maps to the modes that read it and to the
+#: ``run_*`` parameter a socket mode passes it as. A flag the selected
+#: mode would ignore is a misuse the user must hear about, not a silent
+#: no-op. Flags left out (``--log-json``) apply to every mode.
+COLLECTION_FLAGS = {
+    # the scaled-down shape of the in-process experiment
+    "--quick": ((IN_PROCESS,), None),
+    # clients own their rounds' seeds; --oneshot takes them as its argument
+    "--seed": ((IN_PROCESS, "--connect"), "seed"),
+    # the gateway owns the shards
+    "--shards": ((IN_PROCESS, "--serve", "--edge"), "shards"),
+    # the serving side owns the round's durable state
+    "--checkpoint": ((IN_PROCESS,) + SERVING, "checkpoint"),
+    "--checkpoint-every": (("--serve", "--edge"), "checkpoint_every"),
+    "--queue-depth": (("--serve", "--edge"), "queue_depth"),
+    "--expect-users": (SERVING, "expect_users"),
+    "--port-file": (SERVING, "port_file"),
+    # the listening side presents the certificate
+    "--tls-cert": (SERVING, "tls_cert"),
+    "--tls-key": (SERVING, "tls_key"),
+    # the side that dials out verifies the peer and owns the reconnect loop
+    "--tls-ca": (("--connect", "--edge"), "tls_ca"),
+    "--retry": (("--connect", "--edge"), "retry"),
+    # the serving side takes frames as they come
+    "--batches": (("--connect", "--oneshot"), "batches"),
+    "--users": (SOCKET_MODES, "users"),
+    "--metrics": (SOCKET_MODES, "metrics_path"),
+    "--listen": (("--edge",), "listen"),
+    "--push-every": (("--edge",), "push_every"),
+    "--edge-id": (("--edge",), "edge_number"),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -249,6 +288,79 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_collection(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Run the ``collection`` artefact in the mode its flags select.
+
+    Every flag the mode does not read (per :data:`COLLECTION_FLAGS`) is
+    refused in one usage error; then the two pairing rules apply. A
+    socket mode's ``run_*`` function gets only the flags that were
+    given, so its signature holds the one default of each.
+    """
+    mode = next(
+        (name for name in SOCKET_MODES if getattr(args, name[2:])), IN_PROCESS
+    )
+    given = {}
+    for flag in COLLECTION_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value is not False:
+            given[flag] = value
+    misused = [flag for flag in given if mode not in COLLECTION_FLAGS[flag][0]]
+    if misused:
+        parser.error(
+            "; ".join(
+                "%s only applies to %s"
+                % (flag, ", ".join(COLLECTION_FLAGS[flag][0]))
+                for flag in misused
+            )
+        )
+    if "--checkpoint-every" in given and "--checkpoint" not in given:
+        parser.error("--checkpoint-every requires --checkpoint")
+    if ("--tls-cert" in given) != ("--tls-key" in given):
+        parser.error(
+            "--tls-cert and --tls-key go together (a TLS listener needs "
+            "both halves of its identity)"
+        )
+    if args.log_json:
+        from ..telemetry import enable_json_logs
+
+        enable_json_logs()
+
+    if mode == IN_PROCESS:
+        kwargs = dict(users=QUICK_USERS, repeats=QUICK_REPEATS) if args.quick else {}
+        if args.shards is not None:
+            kwargs["shards"] = args.shards
+        result = run_session_collection(
+            checkpoint=args.checkpoint,
+            rng=args.seed if args.seed is not None else 0,
+            **kwargs,
+        )
+        print(result.format())
+        return
+
+    from . import socket_round
+
+    runners = {
+        "--serve": socket_round.run_collection_gateway,
+        "--connect": socket_round.run_collection_sender,
+        "--oneshot": socket_round.run_oneshot_reference,
+        "--root": socket_round.run_federation_root,
+        "--edge": socket_round.run_federation_edge,
+    }
+    kwargs = {COLLECTION_FLAGS[flag][1]: value for flag, value in given.items()}
+    if mode in SERVING:
+        # a serving side waits for one client's --users unless told
+        # otherwise by --expect-users
+        users = kwargs.pop("users", None)
+        if users is not None:
+            kwargs.setdefault("expect_users", users)
+    target = getattr(args, mode[2:])
+    if mode == "--oneshot":
+        target = [int(part) for part in target.split(",") if part]
+    print(runners[mode](target, **kwargs))
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Run one artefact and print its result; returns a process code."""
     parser = _build_parser()
@@ -318,230 +430,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         print(result.format())
     elif args.artefact == "collection":
-        from .socket_round import (
-            run_collection_gateway,
-            run_collection_sender,
-            run_federation_edge,
-            run_federation_root,
-            run_oneshot_reference,
-        )
-
-        if args.log_json:
-            from ..telemetry import enable_json_logs
-
-            enable_json_logs()
-
-        # The socket modes and the in-process experiment take disjoint
-        # flags; a flag the selected mode would ignore is a misuse the
-        # user must hear about, not a silent no-op.
-        socket_mode = (
-            args.serve or args.connect or args.oneshot or args.root or args.edge
-        )
-        serving = args.serve or args.root or args.edge
-        if socket_mode:
-            if args.checkpoint is not None and not serving:
-                parser.error(
-                    "--checkpoint applies to --serve/--root/--edge (the "
-                    "serving side owns the round's durable state) and "
-                    "the in-process collection experiment, not "
-                    "--connect/--oneshot"
-                )
-            if quick:
-                parser.error(
-                    "--quick only applies to the in-process collection "
-                    "experiment, not the socket modes"
-                )
-            if args.shards is not None and not (args.serve or args.edge):
-                parser.error(
-                    "--shards only applies to --serve/--edge (the "
-                    "gateway owns the shards) and the in-process "
-                    "experiment"
-                )
-            if args.seed is not None and not args.connect:
-                parser.error(
-                    "--seed only applies to --connect (clients own their "
-                    "rounds' seeds; --oneshot takes them as its argument)"
-                )
-            if args.batches is not None and serving:
-                parser.error(
-                    "--batches only applies to --connect/--oneshot (the "
-                    "serving side takes frames as they come)"
-                )
-            if args.retry is not None and not (args.connect or args.edge):
-                parser.error(
-                    "--retry only applies to --connect and --edge (the "
-                    "side that dials out owns the reconnect loop)"
-                )
-            if not serving:
-                for name, value in [
-                    ("--expect-users", args.expect_users),
-                    ("--port-file", args.port_file),
-                ]:
-                    if value is not None:
-                        parser.error(
-                            "%s only applies to --serve/--root/--edge"
-                            % name
-                        )
-            if not (args.serve or args.edge):
-                for name, value in [
-                    ("--queue-depth", args.queue_depth),
-                    ("--checkpoint-every", args.checkpoint_every),
-                ]:
-                    if value is not None:
-                        parser.error(
-                            "%s only applies to --serve/--edge" % name
-                        )
-            if not args.edge:
-                for name, value in [
-                    ("--listen", args.listen),
-                    ("--push-every", args.push_every),
-                    ("--edge-id", args.edge_id),
-                ]:
-                    if value is not None:
-                        parser.error("%s only applies to --edge" % name)
-            if args.checkpoint_every is not None and args.checkpoint is None:
-                parser.error("--checkpoint-every requires --checkpoint")
-            if (args.tls_cert is None) != (args.tls_key is None):
-                parser.error(
-                    "--tls-cert and --tls-key go together (a TLS "
-                    "listener needs both halves of its identity)"
-                )
-            if args.tls_cert is not None and not serving:
-                parser.error(
-                    "--tls-cert/--tls-key only apply to "
-                    "--serve/--root/--edge (the listening side presents "
-                    "the certificate)"
-                )
-            if args.tls_ca is not None and not (args.connect or args.edge):
-                parser.error(
-                    "--tls-ca only applies to --connect and --edge (the "
-                    "side that dials out verifies the peer)"
-                )
-        else:
-            ignored = [
-                name
-                for name, value in [
-                    ("--users", args.users),
-                    ("--batches", args.batches),
-                    ("--expect-users", args.expect_users),
-                    ("--queue-depth", args.queue_depth),
-                    ("--port-file", args.port_file),
-                    ("--checkpoint-every", args.checkpoint_every),
-                    ("--retry", args.retry),
-                    ("--metrics", args.metrics),
-                    ("--listen", args.listen),
-                    ("--push-every", args.push_every),
-                    ("--edge-id", args.edge_id),
-                    ("--tls-cert", args.tls_cert),
-                    ("--tls-key", args.tls_key),
-                    ("--tls-ca", args.tls_ca),
-                ]
-                if value is not None
-            ]
-            if ignored:
-                parser.error(
-                    "%s only appl%s to the socket modes "
-                    "(--serve/--connect/--oneshot/--root/--edge)"
-                    % (
-                        ", ".join(ignored),
-                        "ies" if len(ignored) == 1 else "y",
-                    )
-                )
-        users = args.users if args.users is not None else 4000
-        batches = args.batches if args.batches is not None else 6
-        shards = args.shards if args.shards is not None else 1
-        expect_users = (
-            args.expect_users if args.expect_users is not None else users
-        )
-        queue_depth = args.queue_depth if args.queue_depth is not None else 8
-        if args.serve:
-            print(
-                run_collection_gateway(
-                    args.serve,
-                    shards=shards,
-                    expect_users=expect_users,
-                    queue_depth=queue_depth,
-                    port_file=args.port_file,
-                    checkpoint=args.checkpoint,
-                    checkpoint_every=args.checkpoint_every,
-                    metrics_path=args.metrics,
-                    tls_cert=args.tls_cert,
-                    tls_key=args.tls_key,
-                )
-            )
-        elif args.root:
-            print(
-                run_federation_root(
-                    args.root,
-                    expect_users=expect_users,
-                    port_file=args.port_file,
-                    checkpoint=args.checkpoint,
-                    metrics_path=args.metrics,
-                    tls_cert=args.tls_cert,
-                    tls_key=args.tls_key,
-                )
-            )
-        elif args.edge:
-            print(
-                run_federation_edge(
-                    args.edge,
-                    listen=(
-                        args.listen
-                        if args.listen is not None
-                        else "127.0.0.1:0"
-                    ),
-                    shards=shards,
-                    expect_users=expect_users,
-                    queue_depth=queue_depth,
-                    push_every=(
-                        args.push_every if args.push_every is not None else 2
-                    ),
-                    edge_number=(
-                        args.edge_id if args.edge_id is not None else 0
-                    ),
-                    port_file=args.port_file,
-                    checkpoint=args.checkpoint,
-                    checkpoint_every=args.checkpoint_every,
-                    metrics_path=args.metrics,
-                    retry=args.retry if args.retry is not None else 1,
-                    tls_cert=args.tls_cert,
-                    tls_key=args.tls_key,
-                    tls_ca=args.tls_ca,
-                )
-            )
-        elif args.connect:
-            print(
-                run_collection_sender(
-                    args.connect,
-                    seed=seed,
-                    users=users,
-                    batches=batches,
-                    retry=args.retry if args.retry is not None else 1,
-                    metrics_path=args.metrics,
-                    tls_ca=args.tls_ca,
-                )
-            )
-        elif args.oneshot:
-            seeds = [int(part) for part in args.oneshot.split(",") if part]
-            print(
-                run_oneshot_reference(
-                    seeds,
-                    users=users,
-                    batches=batches,
-                    metrics_path=args.metrics,
-                )
-            )
-        else:
-            kwargs = {}
-            if quick:
-                kwargs = dict(users=QUICK_USERS, repeats=QUICK_REPEATS)
-            result = run_session_collection(
-                shards=shards,
-                checkpoint=args.checkpoint,
-                rng=seed,
-                **kwargs,
-            )
-            print(result.format())
+        _run_collection(parser, args)
     else:  # pragma: no cover - argparse enforces choices
         return 2
     return 0

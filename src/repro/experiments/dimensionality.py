@@ -16,14 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..analysis.metrics import mse, true_mean
+from ..analysis.metrics import true_mean
 from ..datasets.covid import cov19_like, resample_dimensions
-from ..hdr4me.recalibrator import Recalibrator
 from ..mechanisms.registry import get_mechanism
 from ..protocol.pipeline import MeanEstimationPipeline, build_populations
-from ..rng import RngLike, ensure_rng, spawn_children
-from .base import SeriesRow, format_series
-from .mse_sweep import SERIES_LABELS
+from ..rng import RngLike, ensure_rng
+from .base import SERIES_LABELS, SeriesRow, format_series, repeated_mse_values
 
 #: Paper parameters for Fig. 5.
 FIG5_EPSILON = 0.8
@@ -82,35 +80,22 @@ def run_dimensionality_sweep(
     gen = ensure_rng(rng)
     mech = get_mechanism(mechanism)
     base = cov19_like(users or 150_000, base_dimensions, rng=gen)
-    recalibrators = {
-        "l1": Recalibrator(norm="l1"),
-        "l2": Recalibrator(norm="l2"),
-    }
 
     rows: List[SeriesRow] = []
     for d in dimension_grid:
         data = resample_dimensions(base, int(d), rng=gen)
-        truth = true_mean(data)
         populations = (
             build_populations(data, population_bins) if mech.bounded else None
         )
-        pipeline = MeanEstimationPipeline(mech, epsilon, dimensions=int(d))
-        sums = {label: 0.0 for label in SERIES_LABELS}
-        for child in spawn_children(gen, repeats):
-            result = pipeline.run(data, child)
-            model = pipeline.deviation_model(
-                users=result.users, populations=populations
-            )
-            sums["baseline"] += mse(result.theta_hat, truth)
-            for label, recal in recalibrators.items():
-                enhanced = recal.recalibrate(result.theta_hat, model)
-                sums[label] += mse(enhanced.theta_star, truth)
-        rows.append(
-            SeriesRow(
-                x=float(d),
-                values={label: sums[label] / repeats for label in SERIES_LABELS},
-            )
+        values = repeated_mse_values(
+            MeanEstimationPipeline(mech, epsilon, dimensions=int(d)),
+            data,
+            true_mean(data),
+            populations,
+            gen,
+            repeats,
         )
+        rows.append(SeriesRow(x=float(d), values=values))
     return DimensionalitySweepResult(
         mechanism=mechanism,
         epsilon=epsilon,

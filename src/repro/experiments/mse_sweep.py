@@ -22,13 +22,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.metrics import mse, true_mean
+from ..analysis.metrics import true_mean
 from ..datasets.loader import load_dataset
-from ..hdr4me.recalibrator import Recalibrator
 from ..mechanisms.registry import get_mechanism
 from ..protocol.pipeline import MeanEstimationPipeline, build_populations
-from ..rng import RngLike, ensure_rng, spawn_children
-from .base import SeriesRow, format_series
+from ..rng import RngLike, ensure_rng
+from .base import SERIES_LABELS, SeriesRow, format_series, repeated_mse_values
 
 #: Paper budget grids.
 PAPER_EPSILONS: Tuple[float, ...] = (0.1, 0.2, 0.4, 0.8, 1.6, 3.2)
@@ -40,8 +39,6 @@ FIG4_PANELS: Tuple[Tuple[str, str], ...] = tuple(
     for dataset in ("gaussian", "poisson", "uniform", "cov19")
     for mechanism in ("laplace", "piecewise", "square_wave")
 )
-
-SERIES_LABELS = ("baseline", "l1", "l2")
 
 
 def default_epsilons(mechanism_name: str) -> Tuple[float, ...]:
@@ -124,30 +121,20 @@ def run_mse_sweep(
     truth = true_mean(data)
     grid = tuple(epsilons) if epsilons is not None else default_epsilons(mechanism)
     populations = build_populations(data, population_bins) if mech.bounded else None
-    recalibrators = {
-        "l1": Recalibrator(norm="l1"),
-        "l2": Recalibrator(norm="l2"),
-    }
-
-    rows: List[SeriesRow] = []
-    for epsilon in grid:
-        pipeline = MeanEstimationPipeline(mech, epsilon, dimensions=d)
-        sums = {label: 0.0 for label in SERIES_LABELS}
-        for child in spawn_children(gen, repeats):
-            result = pipeline.run(data, child)
-            model = pipeline.deviation_model(
-                users=result.users, populations=populations
-            )
-            sums["baseline"] += mse(result.theta_hat, truth)
-            for label, recal in recalibrators.items():
-                enhanced = recal.recalibrate(result.theta_hat, model)
-                sums[label] += mse(enhanced.theta_star, truth)
-        rows.append(
-            SeriesRow(
-                x=float(epsilon),
-                values={label: sums[label] / repeats for label in SERIES_LABELS},
-            )
+    rows = [
+        SeriesRow(
+            x=float(epsilon),
+            values=repeated_mse_values(
+                MeanEstimationPipeline(mech, epsilon, dimensions=d),
+                data,
+                truth,
+                populations,
+                gen,
+                repeats,
+            ),
         )
+        for epsilon in grid
+    ]
     return MseSweepResult(
         dataset=dataset,
         mechanism=mechanism,

@@ -1,6 +1,6 @@
 """Socket modes of the ``collection`` CLI: a real round over TCP.
 
-Three entry points, one fixed round shape (the mixed schema of
+Five entry points, one fixed round shape (the mixed schema of
 :mod:`repro.experiments.collection` at ε=1 with the OUE oracle on the
 categorical attribute), all deterministic in their seeds:
 
@@ -37,12 +37,12 @@ import hashlib
 import json
 import pathlib
 import ssl as ssl_module
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..exceptions import ParameterError
-from ..federation import EdgeAggregator, serve_root
+from ..federation import EdgeAggregator, RootAggregator
 from ..session import (
     LDPClient,
     LDPServer,
@@ -51,9 +51,9 @@ from ..session import (
     SessionEstimate,
     ShardedServer,
 )
-from ..storage import open_store
+from ..storage import CheckpointStore, open_store
 from ..telemetry import MetricsRegistry
-from ..transport import replay_frames, serve_collection
+from ..transport import CollectionGateway, replay_frames
 from ..transport.framing import SENDER_ID_SIZE
 from ..wire.codec import encode_batch
 from ..wire.contract import CollectionContract
@@ -66,6 +66,11 @@ ROUND_EPSILON = 1.0
 ROUND_NUMERIC_DIMS = 8
 ROUND_CATEGORIES = 16
 ROUND_PROTOCOLS = {"category": "oue"}
+#: One client's round: users and frames per ``--connect`` client (the
+#: ``--oneshot`` reference replays the same frames), and by default the
+#: users a serving side waits for.
+ROUND_USERS = 4000
+ROUND_BATCHES = 6
 
 
 def round_schema() -> Schema:
@@ -156,7 +161,7 @@ def write_metrics_snapshot(
 ) -> None:
     """Write one ``--metrics`` snapshot document as JSON.
 
-    The document shape is shared by all three socket modes: ``mode``
+    The document shape is shared by all five socket modes: ``mode``
     names which side wrote it, ``counters`` are that side's integer
     counts, and ``metrics`` is the full registry snapshot (histograms,
     time-weighted gauges, labelled families).
@@ -194,10 +199,76 @@ def parse_endpoint(text: str) -> Tuple[str, int]:
     return host, int(port)
 
 
+def _serve_round(
+    mode: str,
+    build: Callable[[Optional[CheckpointStore], Optional[int]], Any],
+    start: Callable[[Any, Optional[ssl_module.SSLContext]], Awaitable[Any]],
+    render: Callable[[Any], str],
+    *,
+    expect_users: int,
+    port_file: Optional[Union[str, pathlib.Path]],
+    checkpoint: Optional[str],
+    metrics_path: Optional[Union[str, pathlib.Path]],
+    tls_cert: Optional[str],
+    tls_key: Optional[str],
+    checkpoint_every: Optional[int] = None,
+) -> str:
+    """The serving lifecycle ``--serve``, ``--root`` and ``--edge`` share.
+
+    Opens the ``checkpoint`` store and builds the node over it with
+    ``build(store, checkpoint_every)`` — a store without an explicit
+    ``checkpoint_every`` checkpoints every accepted frame, so every ack
+    is durable. ``start(node, ssl)`` binds it (over TLS when
+    ``tls_cert`` + ``tls_key`` are given); the bound port goes to
+    ``port_file``, and the round runs until ``expect_users`` users
+    arrived. Once started, the node stops on every exit; the store is
+    closed and ``metrics_path`` written on every exit, the error exits
+    included, so a failed round still leaves its counters behind for
+    diagnosis. Returns ``render(node)``.
+    """
+    server_ssl = (
+        server_ssl_context(tls_cert, tls_key) if tls_cert is not None else None
+    )
+    if checkpoint is not None and checkpoint_every is None:
+        checkpoint_every = 1
+
+    async def serve() -> str:
+        store = open_store(checkpoint) if checkpoint is not None else None
+        node = None
+        try:
+            node = build(store, checkpoint_every)
+            await start(node, server_ssl)
+            try:
+                if port_file is not None:
+                    pathlib.Path(port_file).write_text("%d\n" % node.port)
+                await node.wait_for_users(expect_users)
+            finally:
+                # Bounded grace: in-flight clients may finish their
+                # stream (trailing heartbeats included) and an in-flight
+                # push its ack, but one silent peer cannot hang the round
+                # after expect_users arrived. Folded pushes and
+                # checkpointed frames are already durable.
+                await node.stop(grace=10.0)
+            return render(node)
+        finally:
+            if store is not None:
+                store.close()
+            if metrics_path is not None and node is not None:
+                snapshot = node.stats_snapshot()
+                counters = dict(snapshot["counters"])
+                # An edge's push counters ride beside its gateway's.
+                counters.update(snapshot.get("federation", {}))
+                write_metrics_snapshot(
+                    metrics_path, mode, counters, node.telemetry
+                )
+
+    return asyncio.run(serve())
+
+
 def run_collection_gateway(
     endpoint: str,
-    shards: int = 2,
-    expect_users: int = 4000,
+    shards: int = 1,
+    expect_users: int = ROUND_USERS,
     queue_depth: int = 8,
     port_file: Optional[Union[str, pathlib.Path]] = None,
     checkpoint: Optional[str] = None,
@@ -229,58 +300,36 @@ def run_collection_gateway(
     paths) serve the round over TLS.
     """
     host, port = parse_endpoint(endpoint)
-    if checkpoint is not None and checkpoint_every is None:
-        checkpoint_every = 1
-    server_ssl = (
-        server_ssl_context(tls_cert, tls_key) if tls_cert is not None else None
+    return _serve_round(
+        "serve",
+        lambda store, every: CollectionGateway(
+            ShardedServer(
+                round_schema(),
+                ROUND_EPSILON,
+                protocols=ROUND_PROTOCOLS,
+                shards=shards,
+            ),
+            queue_depth=queue_depth,
+            store=store,
+            checkpoint_every_frames=every,
+        ),
+        lambda gateway, ssl: gateway.start(host, port, ssl=ssl),
+        lambda gateway: format_round_estimate(gateway.estimate()),
+        expect_users=expect_users,
+        port_file=port_file,
+        checkpoint=checkpoint,
+        checkpoint_every=checkpoint_every,
+        metrics_path=metrics_path,
+        tls_cert=tls_cert,
+        tls_key=tls_key,
     )
-
-    async def _serve() -> str:
-        server = ShardedServer(
-            round_schema(),
-            ROUND_EPSILON,
-            protocols=ROUND_PROTOCOLS,
-            shards=shards,
-        )
-        store = open_store(checkpoint) if checkpoint is not None else None
-        gateway = None
-        try:
-            gateway = await serve_collection(
-                server,
-                host,
-                port,
-                queue_depth=queue_depth,
-                store=store,
-                checkpoint_every_frames=checkpoint_every,
-                ssl=server_ssl,
-            )
-            try:
-                if port_file is not None:
-                    pathlib.Path(port_file).write_text("%d\n" % gateway.port)
-                await gateway.wait_for_users(expect_users)
-            finally:
-                # Bounded grace: in-flight clients may finish their
-                # stream (trailing heartbeats included), but one silent
-                # peer cannot hang the round after expect_users arrived.
-                await gateway.stop(grace=10.0)
-            return format_round_estimate(gateway.estimate())
-        finally:
-            if store is not None:
-                store.close()
-            if metrics_path is not None and gateway is not None:
-                snapshot = gateway.stats_snapshot()
-                write_metrics_snapshot(
-                    metrics_path, "serve", snapshot["counters"], gateway.telemetry
-                )
-
-    return asyncio.run(_serve())
 
 
 def run_collection_sender(
     endpoint: str,
     seed: int = 0,
-    users: int = 4000,
-    batches: int = 6,
+    users: int = ROUND_USERS,
+    batches: int = ROUND_BATCHES,
     retry: int = 1,
     metrics_path: Optional[Union[str, pathlib.Path]] = None,
     tls_ca: Optional[str] = None,
@@ -350,8 +399,8 @@ def run_collection_sender(
 
 def run_oneshot_reference(
     seeds: Sequence[int],
-    users: int = 4000,
-    batches: int = 6,
+    users: int = ROUND_USERS,
+    batches: int = ROUND_BATCHES,
     metrics_path: Optional[Union[str, pathlib.Path]] = None,
 ) -> str:
     """In-process ingestion of the same frames, same output format.
@@ -378,7 +427,7 @@ def run_oneshot_reference(
 
 def run_federation_root(
     endpoint: str,
-    expect_users: int = 4000,
+    expect_users: int = ROUND_USERS,
     port_file: Optional[Union[str, pathlib.Path]] = None,
     checkpoint: Optional[str] = None,
     metrics_path: Optional[Union[str, pathlib.Path]] = None,
@@ -400,49 +449,27 @@ def run_federation_root(
     ``tls_key`` serve the push hop over TLS.
     """
     host, port = parse_endpoint(endpoint)
-    server_ssl = (
-        server_ssl_context(tls_cert, tls_key) if tls_cert is not None else None
+    return _serve_round(
+        "root",
+        lambda store, _every: RootAggregator(
+            round_schema(), ROUND_EPSILON, protocols=ROUND_PROTOCOLS, store=store
+        ),
+        lambda root, ssl: root.start(host, port, ssl=ssl),
+        lambda root: format_round_estimate(root.estimate()),
+        expect_users=expect_users,
+        port_file=port_file,
+        checkpoint=checkpoint,
+        metrics_path=metrics_path,
+        tls_cert=tls_cert,
+        tls_key=tls_key,
     )
-
-    async def _serve() -> str:
-        store = open_store(checkpoint) if checkpoint is not None else None
-        root = None
-        try:
-            root = await serve_root(
-                round_schema(),
-                ROUND_EPSILON,
-                protocols=ROUND_PROTOCOLS,
-                host=host,
-                port=port,
-                store=store,
-                ssl=server_ssl,
-            )
-            try:
-                if port_file is not None:
-                    pathlib.Path(port_file).write_text("%d\n" % root.port)
-                await root.wait_for_users(expect_users)
-            finally:
-                # Folded pushes are already durable; the grace only lets
-                # an in-flight push finish its ack.
-                await root.stop(grace=10.0)
-            return format_round_estimate(root.estimate())
-        finally:
-            if store is not None:
-                store.close()
-            if metrics_path is not None and root is not None:
-                snapshot = root.stats_snapshot()
-                write_metrics_snapshot(
-                    metrics_path, "root", snapshot["counters"], root.telemetry
-                )
-
-    return asyncio.run(_serve())
 
 
 def run_federation_edge(
     upstream: str,
     listen: str = "127.0.0.1:0",
-    shards: int = 2,
-    expect_users: int = 4000,
+    shards: int = 1,
+    expect_users: int = ROUND_USERS,
     queue_depth: int = 8,
     push_every: int = 2,
     edge_number: int = 0,
@@ -474,61 +501,38 @@ def run_federation_edge(
     """
     upstream_host, upstream_port = parse_endpoint(upstream)
     listen_host, listen_port = parse_endpoint(listen)
-    if checkpoint is not None and checkpoint_every is None:
-        checkpoint_every = 1
-    server_ssl = (
-        server_ssl_context(tls_cert, tls_key) if tls_cert is not None else None
-    )
     upstream_ssl = client_ssl_context(tls_ca) if tls_ca is not None else None
-
-    async def _serve() -> str:
-        store = open_store(checkpoint) if checkpoint is not None else None
-        edge = None
-        try:
-            edge = EdgeAggregator(
-                round_schema(),
-                ROUND_EPSILON,
-                protocols=ROUND_PROTOCOLS,
-                shards=shards,
-                queue_depth=queue_depth,
-                store=store,
-                checkpoint_every_frames=checkpoint_every,
-                edge_id=round_edge_id(edge_number),
-                push_every_frames=push_every,
-                push_attempts=retry,
-                push_retry_delay=0.5,
-            )
-            await edge.start(
-                upstream_host,
-                upstream_port,
-                host=listen_host,
-                port=listen_port,
-                ssl=server_ssl,
-                upstream_ssl=upstream_ssl,
-            )
-            if port_file is not None:
-                pathlib.Path(port_file).write_text("%d\n" % edge.port)
-            await edge.gateway.wait_for_users(expect_users)
-            await edge.stop(grace=10.0)
-            return (
-                "edge %d pushed %d snapshots (last epoch %d) covering "
-                "%d users"
-                % (
-                    edge_number,
-                    edge.pushes_completed,
-                    edge.last_epoch,
-                    edge.users,
-                )
-            )
-        finally:
-            if store is not None:
-                store.close()
-            if metrics_path is not None and edge is not None:
-                snapshot = edge.stats_snapshot()
-                counters = dict(snapshot["counters"])
-                counters.update(snapshot["federation"])
-                write_metrics_snapshot(
-                    metrics_path, "edge", counters, edge.telemetry
-                )
-
-    return asyncio.run(_serve())
+    return _serve_round(
+        "edge",
+        lambda store, every: EdgeAggregator(
+            round_schema(),
+            ROUND_EPSILON,
+            protocols=ROUND_PROTOCOLS,
+            shards=shards,
+            queue_depth=queue_depth,
+            store=store,
+            checkpoint_every_frames=every,
+            edge_id=round_edge_id(edge_number),
+            push_every_frames=push_every,
+            push_attempts=retry,
+            push_retry_delay=0.5,
+        ),
+        lambda edge, ssl: edge.start(
+            upstream_host,
+            upstream_port,
+            host=listen_host,
+            port=listen_port,
+            ssl=ssl,
+            upstream_ssl=upstream_ssl,
+        ),
+        lambda edge: "edge %d pushed %d snapshots (last epoch %d) covering "
+        "%d users"
+        % (edge_number, edge.pushes_completed, edge.last_epoch, edge.users),
+        expect_users=expect_users,
+        port_file=port_file,
+        checkpoint=checkpoint,
+        checkpoint_every=checkpoint_every,
+        metrics_path=metrics_path,
+        tls_cert=tls_cert,
+        tls_key=tls_key,
+    )

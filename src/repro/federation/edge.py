@@ -274,6 +274,10 @@ class EdgeAggregator:
         if push_error is not None:
             raise push_error
 
+    async def wait_for_users(self, count: int) -> None:
+        """Wait until the local gateway has accepted ``count`` users."""
+        await self.gateway.wait_for_users(count)
+
     async def __aenter__(self) -> "EdgeAggregator":
         return self
 
@@ -352,10 +356,14 @@ class EdgeAggregator:
         time; a refused *delta* costs one retry and falls back to a full
         snapshot; other typed rejections — contract mismatch, malformed
         push — propagate immediately, because the root will refuse them
-        again.
+        again. A gateway whose fold failed raises its
+        :class:`~repro.exceptions.TransportError` before any state is cut.
         """
         async with self._push_lock:
             await self.gateway.drain()
+            # A poisoned gateway's state misses folds it acknowledged;
+            # pushing it would let the root serve a partial aggregate.
+            self.gateway._check_folds()
             frames = self.gateway.frames_accepted
             state = self.server.state
             counters = {

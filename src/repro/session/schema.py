@@ -24,6 +24,7 @@ from typing import Iterator, List, Sequence, Tuple, Union
 import numpy as np
 
 from ..exceptions import DimensionError, DomainError
+from ..freq_oracles.base import check_labels
 from ..mechanisms.base import BLOCK_ENTRIES, STANDARD_DOMAIN
 
 #: Round-off slack allowed outside a numeric domain before values are
@@ -108,25 +109,14 @@ class CategoricalAttribute:
         object.__setattr__(self, "n_categories", int(self.n_categories))
 
     def validate_column(self, column: np.ndarray) -> np.ndarray:
-        """Validate one label column; return int64 labels."""
-        arr = np.asarray(column)
-        if arr.size and not np.all(np.isfinite(np.asarray(arr, dtype=np.float64))):
-            raise DomainError(
-                "attribute %r: labels must be finite integers" % self.name
-            )
-        labels = np.asarray(arr, dtype=np.float64)
-        rounded = np.rint(labels)
-        if labels.size and np.any(np.abs(labels - rounded) > 1e-9):
-            raise DomainError(
-                "attribute %r: labels must be integers" % self.name
-            )
-        out = rounded.astype(np.int64)
-        if out.size and (out.min() < 0 or out.max() >= self.n_categories):
-            raise DomainError(
-                "attribute %r: labels must lie in [0, %d)"
-                % (self.name, self.n_categories)
-            )
-        return out
+        """Validate one label column; return int64 labels.
+
+        The oracles' label rule: integral floats pass; fractions, NaN
+        and labels outside ``[0, n_categories)`` raise ``DomainError``.
+        """
+        return check_labels(
+            column, self.n_categories, "attribute %r: labels" % self.name
+        )
 
 
 Attribute = Union[NumericAttribute, CategoricalAttribute]

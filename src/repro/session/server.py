@@ -249,69 +249,22 @@ class LDPServer:
                 "batch reports unknown attributes: %s"
                 % ", ".join(sorted(unknown))
             )
-        users = int(batch.users)
-        if users < 0:
-            raise DimensionError("batch user count must be >= 0, got %d" % users)
-        canonical: Dict[str, Any] = {}
-        for name, payload in batch.payloads.items():
-            canonical[name] = self._validate_block(
-                name,
-                batch.protocols.get(name),
-                int(batch.counts[name]),
-                payload,
-                users,
-            )
-        return users, canonical
-
-    def _validate_block(
-        self,
-        name: str,
-        declared: Optional[str],
-        count: int,
-        payload: Any,
-        users: int,
-    ) -> Any:
-        """Validate one attribute's payload; returns its canonical form.
-
-        The single-attribute unit shared by :meth:`_validate_batch` and
-        the streaming :meth:`_validate_blocks` path — raising here never
-        touches state.
-        """
-        collector = self.collectors.get(name)
-        if collector is None:
-            raise DimensionError(
-                "batch reports unknown attributes: %s" % name
-            )
-        if declared is not None and declared != collector.protocol_name:
-            raise DimensionError(
-                "attribute %r: batch was produced by protocol %r "
-                "but this server aggregates with %r"
-                % (name, declared, collector.protocol_name)
-            )
-        canonical = collector.check_payload(payload)
-        rows = collector.payload_rows(canonical)
-        if rows != count:
-            raise DimensionError(
-                "attribute %r: batch declares %d reports but the "
-                "payload carries %d" % (name, count, rows)
-            )
-        if count > users:
-            raise DimensionError(
-                "attribute %r: %d reports from a batch of %d users "
-                "(each user reports an attribute at most once)"
-                % (name, count, users)
-            )
-        return canonical
+        blocks = (
+            (name, batch.protocols.get(name), batch.counts[name], payload)
+            for name, payload in batch.payloads.items()
+        )
+        return int(batch.users), self._validate_blocks(batch.users, blocks)
 
     def _validate_blocks(
         self, users: int, blocks: Iterable[Any]
     ) -> Dict[str, Any]:
-        """Validate attribute blocks as they stream off the wire.
+        """Validate attribute blocks, one at a time; the one validation loop.
 
         ``blocks`` yields ``(name, protocol, count, payload)`` tuples —
-        the shape :func:`repro.wire.iter_attribute_blocks` produces — and
-        each block is validated the moment it is parsed, without
-        materializing a :class:`~repro.session.ReportBatch` first.
+        the shape :func:`repro.wire.iter_attribute_blocks` produces, so
+        the gateway validates each block the moment it is parsed, without
+        materializing a :class:`~repro.session.ReportBatch` first;
+        :meth:`_validate_batch` feeds a batch's payloads through here too.
         Returns the canonical payload dict for :meth:`_fold_validated`;
         any raise (from parsing or validation) leaves state untouched
         because nothing is folded until every block has passed.
@@ -320,10 +273,32 @@ class LDPServer:
         if users < 0:
             raise DimensionError("batch user count must be >= 0, got %d" % users)
         canonical: Dict[str, Any] = {}
-        for name, protocol, count, payload in blocks:
-            canonical[name] = self._validate_block(
-                name, protocol, int(count), payload, users
-            )
+        for name, declared, count, payload in blocks:
+            collector = self.collectors.get(name)
+            if collector is None:
+                raise DimensionError(
+                    "batch reports unknown attributes: %s" % name
+                )
+            if declared is not None and declared != collector.protocol_name:
+                raise DimensionError(
+                    "attribute %r: batch was produced by protocol %r "
+                    "but this server aggregates with %r"
+                    % (name, declared, collector.protocol_name)
+                )
+            count = int(count)
+            canonical[name] = collector.check_payload(payload)
+            rows = collector.payload_rows(canonical[name])
+            if rows != count:
+                raise DimensionError(
+                    "attribute %r: batch declares %d reports but the "
+                    "payload carries %d" % (name, count, rows)
+                )
+            if count > users:
+                raise DimensionError(
+                    "attribute %r: %d reports from a batch of %d users "
+                    "(each user reports an attribute at most once)"
+                    % (name, count, users)
+                )
         return canonical
 
     def _fold_validated(self, users: int, canonical: Mapping[str, Any]) -> None:

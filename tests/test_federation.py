@@ -1163,6 +1163,43 @@ class TestEdgeAggregatorBehaviour:
         assert revived.pushes_rejected == 0
         _assert_estimates_equal(_reference(frame_lists), revived.estimate())
 
+    def test_poisoned_gateway_pushes_nothing_upstream(self):
+        """A fold that fails after its frame was acked leaves the edge's
+        state short of what it acknowledged: push_now must raise the
+        gateway's error instead of shipping that partial state for the
+        root to serve."""
+
+        async def scenario():
+            root = await _root()
+            edge = await _edge(root.port, shards=1, edge_id=_edge_id(8))
+            shard = edge.server.shards[0]
+            original = shard._fold_validated
+            folds = []
+
+            def second_fold_fails(users, canonical):
+                folds.append(users)
+                if len(folds) == 2:
+                    raise RuntimeError("allocation failed mid-fold")
+                original(users, canonical)
+
+            shard._fold_validated = second_fold_fails
+            frames = _frames(seed=81, users=40, batches=2)
+            await replay_frames(
+                "127.0.0.1", edge.port, root.contract, frames, _sender_id(1)
+            )
+            with pytest.raises(TransportError, match="incomplete"):
+                await edge.push_now()
+            with pytest.raises(TransportError, match="incomplete"):
+                await edge.stop()
+            await root.stop()
+            return root, edge, folds
+
+        root, edge, folds = asyncio.run(scenario())
+        assert folds == [20, 20]
+        assert edge.pushes_completed == 0
+        assert root.edges == 0
+        assert root.users == 0
+
     def test_root_refuses_double_serve_and_unstarted_waits(self):
         async def scenario():
             root = await _root()

@@ -64,18 +64,29 @@ class TestEncoding:
         np.testing.assert_allclose(freq, [0.5, 0.25, 0.25, 0.0])
 
 
+def client_report_batch(labels, n_categories):
+    """The client's path: the schema validates the label column."""
+    schema = Schema([CategoricalAttribute("c", n_categories)])
+    client = LDPClient(schema, 1.0, protocols={"c": "grr"})
+    records = np.asarray(labels, dtype=np.float64)[:, None]
+    return client.report_batch(records, np.random.default_rng(0))
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "helper", [one_hot_encode, true_frequencies], ids=lambda f: f.__name__
+    "helper",
+    [one_hot_encode, true_frequencies, client_report_batch],
+    ids=lambda f: f.__name__,
 )
 @pytest.mark.parametrize(
     "labels",
-    [[0.5, 1.7], [0.0, np.nan], [0, 7], [-1, 0]],
-    ids=["fractions", "nan", "above-range", "negative"],
+    [[0.5, 1.7], [0.0, np.nan], [0, 7], [-1, 0], [1.0000000001, 2.9999999999]],
+    ids=["fractions", "nan", "above-range", "negative", "near-integers"],
 )
 def test_label_helpers_refuse_what_the_oracles_refuse(helper, labels):
-    """One label rule: a DomainError, never a raw IndexError or TypeError
-    and never extra frequencies for labels past ``v``."""
+    """One label rule: a DomainError, never a raw IndexError or TypeError,
+    never extra frequencies for labels past ``v`` and never a label
+    rounded to its nearest integer."""
     with pytest.raises(DomainError):
         helper(np.array(labels), 4)
     with pytest.raises(DomainError):
