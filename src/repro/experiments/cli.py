@@ -12,6 +12,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from ..exceptions import ParameterError
 from .ablation import (
     run_confidence_ablation,
     run_harmful_regime,
@@ -294,9 +295,11 @@ def _run_collection(
     """Run the ``collection`` artefact in the mode its flags select.
 
     Every flag the mode does not read (per :data:`COLLECTION_FLAGS`) is
-    refused in one usage error; then the two pairing rules apply. A
-    socket mode's ``run_*`` function gets only the flags that were
-    given, so its signature holds the one default of each.
+    refused in one usage error; then the two pairing rules apply, and
+    the ``--oneshot`` seeds and every endpoint are parsed, so a malformed
+    one is a usage error naming its flag. A socket mode's ``run_*``
+    function gets only the flags that were given, so its signature holds
+    the one default of each.
     """
     mode = next(
         (name for name in SOCKET_MODES if getattr(args, name[2:])), IN_PROCESS
@@ -322,6 +325,24 @@ def _run_collection(
             "--tls-cert and --tls-key go together (a TLS listener needs "
             "both halves of its identity)"
         )
+    target = None if mode == IN_PROCESS else getattr(args, mode[2:])
+    if mode == "--oneshot":
+        try:
+            target = [int(part) for part in target.split(",") if part]
+        except ValueError:
+            parser.error(
+                "--oneshot takes comma-separated integer seeds, got %r" % target
+            )
+    elif target is not None:
+        from .socket_round import parse_endpoint
+
+        for flag, endpoint in ((mode, target), ("--listen", args.listen)):
+            if endpoint is None:
+                continue
+            try:
+                parse_endpoint(endpoint)
+            except ParameterError as error:
+                parser.error("%s: %s" % (flag, error))
     if args.log_json:
         from ..telemetry import enable_json_logs
 
@@ -355,9 +376,6 @@ def _run_collection(
         users = kwargs.pop("users", None)
         if users is not None:
             kwargs.setdefault("expect_users", users)
-    target = getattr(args, mode[2:])
-    if mode == "--oneshot":
-        target = [int(part) for part in target.split(",") if part]
     print(runners[mode](target, **kwargs))
 
 

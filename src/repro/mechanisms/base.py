@@ -40,6 +40,10 @@ from ..tolerance import isclose
 #: Input domain used by every mechanism unless documented otherwise.
 STANDARD_DOMAIN: Tuple[float, float] = (-1.0, 1.0)
 
+#: Round-off slack allowed outside a numeric domain before values are
+#: rejected (they are clipped back into it).
+DOMAIN_ATOL = 1e-9
+
 #: Entries per block when a whole record matrix is validated, perturbed
 #: or binned a piece at a time: one ``perturb`` call over millions of
 #: entries is slower than over 64K-entry blocks, whose temporaries stay
@@ -64,7 +68,7 @@ def validate_epsilon(epsilon: float) -> float:
 
 
 def validate_values(
-    values: np.ndarray, domain: Tuple[float, float], atol: float = 1e-9
+    values: np.ndarray, domain: Tuple[float, float], atol: float = DOMAIN_ATOL
 ) -> np.ndarray:
     """Check that ``values`` lie inside ``domain`` and return them as float64.
 
@@ -88,11 +92,24 @@ def validated_copy(
 ) -> np.ndarray:
     """:func:`validate_values` as an ndarray the caller owns and may overwrite.
 
-    ``validate_values`` always returns a fresh clipped array (a numpy scalar
-    for 0-d input), so sampling kernels compute in place in it; wrapping
-    keeps 0-d input a 0-d array, which ``out=`` and augmented ops need.
+    The one copy of ``values`` a sampling kernel computes in, made in C
+    order whatever the input's layout (a transposed view of a record
+    matrix reads its columns in place). Its minimum and maximum are
+    checked against ``domain`` (a NaN or an infinity fails them, and then
+    :func:`validate_values` raises the same error it would), and it is
+    clipped in place only when a value lies within :data:`DOMAIN_ATOL`
+    outside. 0-d input gives a 0-d array, which ``out=`` and augmented
+    ops need.
     """
-    return np.asarray(validate_values(values, domain))
+    arr = np.array(values, dtype=np.float64, order="C")
+    if arr.size:
+        lo, hi = domain
+        low, high = arr.min(), arr.max()
+        if not (low >= lo - DOMAIN_ATOL and high <= hi + DOMAIN_ATOL):
+            validate_values(arr, domain)  # raises the typed error
+        if low < lo or high > hi:
+            np.clip(arr, lo, hi, out=arr)
+    return arr
 
 
 #: Dtypes :func:`select` handles on their bit patterns.

@@ -110,10 +110,13 @@ class AttributeCollector(abc.ABC):
     def privatize(self, values: np.ndarray, rng: RngLike = None) -> Any:
         """Perturb the contributing users' values into a report payload.
 
-        ``values`` must already be validated against the attribute (as
-        :meth:`repro.session.Schema.validate_matrix` does for the
-        client): numeric values clipped into the domain, categorical
-        labels exact integers. Collectors do not validate them again.
+        ``values`` should already be validated against the attribute, as
+        :meth:`repro.session.Schema.validate_matrix` does for the client.
+        The perturbation checks them again where it copies them:
+        :meth:`~repro.mechanisms.base.Mechanism.perturb` checks and clips
+        numeric values in the one buffer it computes in (so ``values``
+        may be a view of the caller's records), and the oracles and the
+        histogram encoding check labels as they read them.
         """
 
     def block_key(self) -> Optional[Hashable]:

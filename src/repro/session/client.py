@@ -253,7 +253,10 @@ class LDPClient:
         contributing entries are taken in blocks of about
         :data:`~repro.mechanisms.base.BLOCK_ENTRIES`, each block is
         perturbed in one call, and the result is sliced back per
-        attribute. The other attributes are privatized one by one.
+        attribute. The other attributes are privatized one by one. A
+        block of adjacent columns reaches ``perturb`` as a transposed
+        view of the validated records, so the kernel's own working copy
+        is the only copy of each entry when every attribute is sampled.
         """
         gen = ensure_rng(rng)
         matrix = self.schema.validate_matrix(records)
@@ -265,23 +268,29 @@ class LDPClient:
             np.full(dimensions, users) if every else mask.sum(axis=0)
         )
         parts: List[Any] = [None] * dimensions
-        columns_major, mask_major = matrix.T, mask.T
         per_block = max(1, BLOCK_ENTRIES * dimensions // max(1, users * sampled))
         for collector, group in self._blocks:
             for start in range(0, group.size, per_block):
                 block = group[start : start + per_block]
-                values = columns_major[block]
-                values = values.ravel() if every else values[mask_major[block]]
+                first, last = int(block[0]), int(block[-1])
+                if last - first + 1 == block.size:
+                    columns = slice(first, last + 1)
+                    values = matrix[:, columns].T
+                else:
+                    columns = block
+                    values = matrix.T[block]
+                if not every:
+                    values = values[mask[:, columns].T]
                 if not values.size:
                     continue
                 perturbed = collector.privatize(values, gen)
-                ends = np.cumsum(counts_by_column[block]).tolist()
-                begin = 0
-                for j, end in zip(block.tolist(), ends):
-                    parts[j] = perturbed[begin:end]
-                    begin = end
+                if not every:  # one run of reports per column, back to back
+                    ends = np.cumsum(counts_by_column[block][:-1])
+                    perturbed = np.split(perturbed, ends)
+                for j, reports in zip(block.tolist(), perturbed):
+                    parts[j] = reports
         for j in self._singles:
-            column = columns_major[j] if every else columns_major[j][mask_major[j]]
+            column = matrix[:, j] if every else matrix[mask[:, j], j]
             if column.size:
                 parts[j] = self._ordered[j].privatize(column, gen)
         payloads: Dict[str, Any] = {}

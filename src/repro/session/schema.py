@@ -25,11 +25,7 @@ import numpy as np
 
 from ..exceptions import DimensionError, DomainError
 from ..freq_oracles.base import check_labels
-from ..mechanisms.base import BLOCK_ENTRIES, STANDARD_DOMAIN
-
-#: Round-off slack allowed outside a numeric domain before values are
-#: rejected (they are clipped back into it).
-DOMAIN_ATOL = 1e-9
+from ..mechanisms.base import BLOCK_ENTRIES, DOMAIN_ATOL, STANDARD_DOMAIN
 
 
 @dataclass(frozen=True)
@@ -206,15 +202,16 @@ class Schema:
     def validate_matrix(self, records: np.ndarray) -> np.ndarray:
         """Validate an ``(n, d)`` record matrix, each column exactly once.
 
-        Returns a float64 copy whose numeric columns are clipped to their
-        domains and whose categorical columns hold exact integer labels.
-        The copy is column-major, so each attribute's column (and each run
-        of adjacent columns) is contiguous for the client.
+        Returns the records as a float64 matrix: the caller's own array,
+        not a copy, when every numeric value lies inside its domain, and
+        otherwise a copy whose numeric columns are clipped back into
+        their domains (values at most :data:`DOMAIN_ATOL` outside).
+        Categorical columns must already hold exact integer labels.
 
         The numeric columns are checked together, in row blocks of about
-        :data:`~repro.mechanisms.base.BLOCK_ENTRIES` entries: per-column minima and maxima
-        against the domain bounds (a NaN or infinity fails them too) and
-        one broadcast clip. A failing column is re-checked through its
+        :data:`~repro.mechanisms.base.BLOCK_ENTRIES` entries: per-column
+        minima and maxima against the domain bounds (a NaN or infinity
+        fails them too). A failing column is re-checked through its
         attribute's ``validate_column``, so the :class:`DomainError`
         names the first bad column in schema order, exactly as a
         column-by-column pass would.
@@ -227,38 +224,39 @@ class Schema:
                 "expected (n, %d) records for schema [%s], got %s"
                 % (self.dimensions, ", ".join(self.names), np.shape(records))
             )
-        out = np.empty(matrix.shape, dtype=np.float64, order="F")
-        failed = self._numeric_columns[self._validate_numeric(matrix, out)]
+        mins, maxs = self._numeric_extremes(matrix)
+        lo, hi = self._numeric_lo, self._numeric_hi
+        failed = self._numeric_columns[
+            ~((mins >= lo - DOMAIN_ATOL) & (maxs <= hi + DOMAIN_ATOL))
+        ]
         for j in sorted(self._categorical_columns + tuple(failed.tolist())):
-            out[:, j] = self.attributes[j].validate_column(matrix[:, j])
-        return out
+            self.attributes[j].validate_column(matrix[:, j])
+        if np.any(mins < lo) or np.any(maxs > hi):
+            matrix = matrix.copy()
+            columns = self._numeric_columns
+            matrix[:, columns] = np.clip(matrix[:, columns], lo, hi)
+        return matrix
 
-    def _validate_numeric(self, matrix: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Check and clip every numeric column into ``out``; flag failures.
+    def _numeric_extremes(self, matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-numeric-column minima and maxima, over C-order row blocks.
 
-        Returns a boolean vector over the numeric columns, True for those
-        whose values leave the domain or are not finite (NaN propagates
-        through the minima and maxima; an infinity exceeds the bounds).
+        NaN propagates into both; an empty matrix gives ``+inf``/``-inf``,
+        which pass every bound.
         """
         columns = self._numeric_columns
-        lo, hi = self._numeric_lo, self._numeric_hi
-        users = matrix.shape[0]
-        if columns.size == 0 or users == 0:
-            return np.zeros(columns.size, dtype=bool)
-        every = columns.size == self.dimensions
-        step = max(1, BLOCK_ENTRIES // columns.size)
         mins = np.full(columns.size, np.inf)
         maxs = np.full(columns.size, -np.inf)
+        users = matrix.shape[0]
+        if columns.size == 0 or users == 0:
+            return mins, maxs
+        every = columns.size == self.dimensions
+        step = max(1, BLOCK_ENTRIES // self.dimensions)
         for start in range(0, users, step):
-            rows = slice(start, start + step)
-            block = matrix[rows] if every else matrix[rows][:, columns]
+            rows = matrix[start : start + step]
+            block = rows if every else rows[:, columns]
             np.minimum(mins, block.min(axis=0), out=mins)
             np.maximum(maxs, block.max(axis=0), out=maxs)
-            if every:
-                np.clip(block, lo, hi, out=out[rows])
-            else:
-                out[rows, columns] = np.clip(block, lo, hi)
-        return ~((mins >= lo - DOMAIN_ATOL) & (maxs <= hi + DOMAIN_ATOL))
+        return mins, maxs
 
     def validate_record(self, record: np.ndarray) -> np.ndarray:
         """Validate a single ``d``-dimensional record (1-D)."""

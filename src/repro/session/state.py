@@ -18,7 +18,8 @@ from typing import Any, Dict, Mapping, Optional
 
 from ..exceptions import StateDeltaError, WireFormatError
 from ..wire.contract import CollectionContract
-from .adapters import AttributeCollector
+from .adapters import AttributeCollector, SumStateMixin
+from .streaming import fold_columns
 
 #: Identifier and version of the JSON state documents.
 STATE_FORMAT = "repro-ldp-server-state"
@@ -60,9 +61,22 @@ class SessionState:
     # ------------------------------------------------------------ arithmetic
 
     def fold(self, users: int, canonical: Mapping[str, Any]) -> None:
-        """Accumulate one validated batch's canonical payloads in place."""
+        """Accumulate one validated batch's canonical payloads in place.
+
+        The width-1 sums (numeric attributes) fold together through
+        :func:`~repro.session.streaming.fold_columns`, which stacks short
+        payloads so that several share one exact ``add``; every other
+        attribute folds through its collector.
+        """
+        sums, columns = [], []
         for name, payload in canonical.items():
-            self.collectors[name].fold(self.states[name], payload)
+            collector, state = self.collectors[name], self.states[name]
+            if isinstance(collector, SumStateMixin) and state.width == 1:
+                sums.append(state)
+                columns.append(payload)
+            else:
+                collector.fold(state, payload)
+        fold_columns(sums, columns)
         self.users += users
 
     def merged(self, *others: "SessionState") -> "SessionState":

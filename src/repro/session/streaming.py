@@ -25,20 +25,25 @@ Consequences, all load-bearing for the distributed collection API:
   shard-merged estimate is bit-identical to one-shot ingestion, and a
   snapshot/restore cycle resumes a round without losing a single ulp.
 
-The decomposition is vectorized (``frexp``/``ldexp``/``bincount``); the
-only Python-level work is one loop over the few dozen occupied exponent
-bins per ``add`` call.
+The decomposition is vectorized (``frexp``/``bincount``); the only
+Python-level work is one loop over the occupied (exponent, column) bins
+per ``add`` call. Since the sums are exact, many width-1 accumulators
+may share one ``add``: :func:`fold_columns` stacks a batch's short
+columns into small zero-padded blocks, folds each in a single ``add``
+and hands each column's exact sum to its own accumulator, which is how
+a server folds a batch's numeric attributes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
 from ..exceptions import (
     AggregationError, DimensionError, DomainError, StateDeltaError, WireFormatError,
 )
+from ..mechanisms.base import BLOCK_ENTRIES
 
 #: ``frexp`` exponents of finite float64 values lie in [-1073, 1024];
 #: shifting by the offset makes every bin index non-negative.
@@ -59,6 +64,12 @@ _MAX_BLOCK = 1 << 24
 
 #: Identifier stamped into (and required from) state dictionaries.
 STATE_KIND = "exact-sum"
+
+#: Largest stack :func:`fold_columns` folds in one ``add``. ``add``
+#: allocates several temporaries the size of its block; above about 16K
+#: entries (128 KB) each one is fresh memory that page-faults in, and
+#: the arithmetic runs 4-5 times slower per entry.
+GROUP_ENTRIES = BLOCK_ENTRIES // 8
 
 
 class StreamingSum:
@@ -118,25 +129,30 @@ class StreamingSum:
         high = np.floor(m53 * (1.0 / (1 << _SPLIT_BITS)))
         low = m53 - high * float(1 << _SPLIT_BITS)
         # One bincount over (exponent, column) pairs, windowed to the
-        # exponent range actually present in the block.
+        # exponent range actually present in the block. ``index``, ``high``
+        # and ``low`` share the layout of ``frexp``'s outputs, so flattening
+        # them in memory order ("K") pairs the same entries without copying
+        # a transposed (column-major) block.
         base = int(exponent.min())
         span = int(exponent.max()) - base + 1
-        index = (
-            (exponent - base) * self.width
-            + np.arange(self.width, dtype=exponent.dtype)
-        ).ravel()
+        index = exponent
+        index -= base
+        index *= self.width
+        index += np.arange(self.width, dtype=exponent.dtype)
         high_sums = np.bincount(
-            index, weights=high.ravel(), minlength=span * self.width
+            index.ravel("K"), weights=high.ravel("K"), minlength=span * self.width
         )
         low_sums = np.bincount(
-            index, weights=low.ravel(), minlength=span * self.width
+            index.ravel("K"), weights=low.ravel("K"), minlength=span * self.width
         )
         occupied = np.flatnonzero((high_sums != 0.0) | (low_sums != 0.0))
         shift_base = base + _EXPONENT_OFFSET
-        for flat in occupied.tolist():
-            contribution = (int(high_sums[flat]) << _SPLIT_BITS) + int(
-                low_sums[flat]
-            )
+        for flat, high_sum, low_sum in zip(
+            occupied.tolist(),
+            high_sums[occupied].tolist(),
+            low_sums[occupied].tolist(),
+        ):
+            contribution = (int(high_sum) << _SPLIT_BITS) + int(low_sum)
             column = flat % self.width
             self._acc[column] += contribution << (flat // self.width + shift_base)
 
@@ -231,3 +247,46 @@ class StreamingSum:
         restored._acc = sums
         restored._rows = rows
         return restored
+
+
+def fold_columns(sums: Sequence[StreamingSum], columns: Sequence[np.ndarray]) -> None:
+    """Add each finite ``(k_i,)`` column into its width-1 accumulator, exactly.
+
+    The same accumulators as ``sums[i].add(columns[i], assume_finite=True)``
+    for every ``i``, in fewer ``add`` calls: shortest first, the columns
+    become the rows of zero-padded ``(g, k)`` stacks of at most
+    :data:`GROUP_ENTRIES` entries. A width-``g`` accumulator folds each
+    stack's transposed view, zeros adding nothing, and column ``i``'s
+    exact sum then goes to ``sums[i]``. A column alone in its stack is
+    added directly, without the copy.
+    """
+    for target in sums:
+        if target.width != 1:
+            raise DimensionError(
+                "fold_columns needs width-1 accumulators, got width %d" % target.width
+            )
+    pairs = sorted(zip(sums, columns), key=lambda pair: len(pair[1]))
+    stack: List[Any] = []
+    for target, column in pairs:
+        if stack and (len(stack) + 1) * len(column) > GROUP_ENTRIES:
+            _fold_stack(stack)
+            stack = []
+        stack.append((target, column))
+    if stack:
+        _fold_stack(stack)
+
+
+def _fold_stack(stack: Sequence[Any]) -> None:
+    """Fold ``(accumulator, column)`` pairs, shortest first, in one ``add``."""
+    if len(stack) == 1:
+        target, column = stack[0]
+        target.add(column, assume_finite=True)
+        return
+    stacked = np.zeros((len(stack), len(stack[-1][1])))
+    for row, (_, column) in zip(stacked, stack):
+        row[: len(column)] = column
+    total = StreamingSum(len(stack))
+    total.add(stacked.T, assume_finite=True)
+    for (target, column), exact in zip(stack, total._acc):
+        target._acc[0] += exact
+        target._rows += len(column)

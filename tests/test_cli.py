@@ -86,6 +86,12 @@ COLLECTION_MISUSE = [
     ),
     ("metrics-in-process", ["--quick", "--metrics", "m.json"], "--metrics"),
     ("users-in-process", ["--quick", "--users", "10"], "--users"),
+    ("oneshot-bad-seed", ["--oneshot", "7,x"], "--oneshot"),
+    ("serve-bad-endpoint", ["--serve", "bad"], "--serve"),
+    ("connect-bad-endpoint", ["--connect", "127.0.0.1:"], "--connect"),
+    ("root-bad-endpoint", ["--root", "[::1]"], "--root"),
+    ("edge-bad-endpoint", ["--edge", "host:port"], "--edge"),
+    ("listen-bad-endpoint", ["--edge", "127.0.0.1:9", "--listen", ":::"], "--listen"),
     (
         "every-misuse-in-one-error",
         ["--batches", "2", "--retry", "3", "--serve", "127.0.0.1:0"],

@@ -17,6 +17,7 @@ from repro.session import (
     NumericAttribute,
     ReportBatch,
     Schema,
+    StreamingSum,
     sample_attribute_mask,
 )
 from repro.wire.codec import decode_batch
@@ -278,3 +279,85 @@ class TestValidateOnce:
         client = LDPClient(MIXED, 2.0, protocols=MIXED_PROTOCOLS)
         client.report_batch(mixed_records(100), rng=0)
         assert counts == {"numeric": 0, "categorical": 2}
+
+
+class TestOneCopyPerEntry:
+    """The client copies an entry once: into the buffer perturb works in."""
+
+    def test_in_domain_records_are_not_copied(self):
+        data = np.random.default_rng(0).uniform(-1, 1, (300, 40))
+        assert np.shares_memory(numeric_schema(40).validate_matrix(data), data)
+        fortran = np.asfortranarray(data)
+        assert np.shares_memory(
+            numeric_schema(40).validate_matrix(fortran), fortran
+        )
+        records = mixed_records(50)
+        assert np.shares_memory(MIXED.validate_matrix(records), records)
+
+    def test_round_off_is_clipped_in_a_copy(self):
+        data = np.random.default_rng(1).uniform(-1, 1, (200, 6))
+        data[17, 2] = 1.0 + 5e-10
+        original = data.copy()
+        validated = numeric_schema(6).validate_matrix(data)
+        assert not np.shares_memory(validated, data)
+        assert validated[17, 2] == 1.0
+        np.testing.assert_array_equal(data, original)  # the caller's records
+        np.testing.assert_array_equal(validated, np.clip(data, -1.0, 1.0))
+
+    def test_reports_equal_perturb_of_the_clipped_input(self):
+        # The ε-LDP domain clamp: an input at hi + 5e-10 is reported
+        # exactly as if it were hi, under the same seed.
+        data = np.random.default_rng(2).uniform(-1, 1, (500, 4))
+        data[3, 1] = 1.0 + 5e-10
+        data[9, 0] = -1.0 - 5e-10
+        clipped = np.clip(data, -1.0, 1.0)
+        client = LDPClient(numeric_schema(4), 2.0)
+        raw = client.report_batch(data, rng=7)
+        reference = client.report_batch(clipped, rng=7)
+        for name in raw.payloads:
+            np.testing.assert_array_equal(raw.payloads[name], reference.payloads[name])
+        mechanism = PiecewiseMechanism()
+        np.testing.assert_array_equal(
+            mechanism.perturb(data.T, 0.5, np.random.default_rng(3)),
+            mechanism.perturb(clipped.T, 0.5, np.random.default_rng(3)),
+        )
+
+    def test_perturb_copies_a_transposed_view_once(self, monkeypatch):
+        seen = []
+        original = PiecewiseMechanism.perturb
+
+        def spy(self, values, epsilon, rng=None):
+            seen.append(values)
+            return original(self, values, epsilon, rng)
+
+        monkeypatch.setattr(PiecewiseMechanism, "perturb", spy)
+        data = np.random.default_rng(4).uniform(-1, 1, (100, 30))
+        before = data.copy()
+        LDPClient(numeric_schema(30), 1.0).report_batch(data, rng=0)
+        assert seen and all(np.shares_memory(values, data) for values in seen)
+        np.testing.assert_array_equal(data, before)
+
+    def test_one_fold_per_batch_through_the_traced_entry_points(self, monkeypatch):
+        calls = {"validate_matrix": 0, "perturb": 0, "add": 0}
+
+        def counting(owner, attribute):
+            original = getattr(owner, attribute)
+
+            def spy(*args, **kwargs):
+                calls[attribute] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attribute, spy)
+
+        counting(Schema, "validate_matrix")
+        counting(PiecewiseMechanism, "perturb")
+        counting(StreamingSum, "add")
+        schema = numeric_schema(25)
+        client = LDPClient(schema, 1.0, sampled_attributes=5)
+        server = LDPServer(schema, 1.0, sampled_attributes=5)
+        data = np.random.default_rng(5).uniform(-1, 1, (400, 25))
+        for chunk in np.array_split(data, 3):
+            server.ingest(client.report_batch(chunk, rng=1))
+        assert calls["validate_matrix"] == 3
+        assert calls["perturb"] >= 3
+        assert calls["add"] == 3

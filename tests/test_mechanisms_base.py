@@ -18,6 +18,7 @@ from repro.mechanisms import (
     validate_epsilon,
     validate_values,
 )
+from repro.mechanisms.base import validated_copy
 from testutil import interior_value
 
 
@@ -48,6 +49,38 @@ class TestValidateValues:
 
     def test_empty_ok(self):
         assert validate_values(np.empty(0), (-1, 1)).size == 0
+
+
+class TestValidatedCopy:
+    """The kernels' one working copy: same verdicts as validate_values."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.2, np.nan], [np.inf], [-np.inf, 0.0], [1.5], [-1.0 - 2e-9, 0.3]],
+    )
+    def test_refuses_with_validate_values_message(self, values):
+        with pytest.raises(DomainError) as copied:
+            validated_copy(np.array(values), (-1, 1))
+        with pytest.raises(DomainError) as checked:
+            validate_values(np.array(values), (-1, 1))
+        assert str(copied.value) == str(checked.value)
+
+    def test_c_order_copy_of_a_transposed_view(self):
+        records = np.random.default_rng(0).uniform(-1, 1, (50, 8))
+        records[4, 2] = 1.0 + 5e-10
+        view = records[:, 1:6].T
+        out = validated_copy(view, (-1, 1))
+        assert out.flags.c_contiguous and not np.shares_memory(out, records)
+        np.testing.assert_array_equal(out, validate_values(view, (-1, 1)))
+        assert records[4, 2] == 1.0 + 5e-10
+
+    def test_signed_zeros_and_zero_d_input(self):
+        out = validated_copy(np.array([-0.0, 0.0]), (0.0, 1.0))
+        assert np.signbit(out).tolist() == np.signbit(
+            validate_values(np.array([-0.0, 0.0]), (0.0, 1.0))
+        ).tolist()
+        scalar = validated_copy(1.0 + 1e-12, (-1, 1))
+        assert scalar.shape == () and scalar == 1.0
 
 
 class TestMechanismContract:
