@@ -17,7 +17,7 @@ honest. Two families:
   — concurrent :class:`~repro.transport.AsyncReportSender` clients
   handshake a :func:`~repro.transport.serve_collection` gateway, ship
   length-prefixed frames through the acked/backpressured path, and the
-  gateway drains-and-merges. Frames/second, MB/second and the wire-v2
+  gateway stops and merges. Frames/second, MB/second and the wire-v2
   bytes/report (against the dense v1 encoding of the same batches,
   asserted >= 4x smaller) land in the same JSON record under
   ``"socket"``.
@@ -41,9 +41,9 @@ honest. Two families:
   ``--push-every`` can fire before the push hop dominates the round.
 
 The socket bench also runs one *instrumented* round and records the
-gateway's telemetry snapshot (queue-depth occupancy, backpressure
-stalls, ack/fold latency means) under ``"telemetry"``, so saturation
-numbers ride the performance trajectory alongside the throughput.
+gateway's telemetry snapshot (counters, ack and fold latency means)
+under ``"telemetry"``, so latency numbers ride the performance
+trajectory alongside the throughput.
 """
 
 from __future__ import annotations
@@ -212,13 +212,12 @@ def test_wire_sharded_ingest_throughput(benchmark, results_dir, shards):
 
 
 # --------------------------------------------------------------------------
-# Socket path: handshake → framed sends → gateway validate/route → drain
+# Socket path: handshake → framed sends → gateway validate/fold → ack
 # --------------------------------------------------------------------------
 
 #: Concurrent senders sharing the workload's frames over localhost TCP.
 SOCKET_CLIENTS = 4
 SOCKET_SHARDS = 2
-SOCKET_QUEUE_DEPTH = 4
 #: Conservative floor for the end-to-end socket round (reports/second):
 #: everything the wire path does, plus TCP and per-frame ack round trips.
 MIN_SOCKET_THROUGHPUT = 1e4
@@ -254,7 +253,6 @@ def test_socket_ingest_throughput(benchmark, results_dir):
                 server,
                 "127.0.0.1",
                 0,
-                queue_depth=SOCKET_QUEUE_DEPTH,
                 metrics=metrics,
             )
             contract = server.contract
@@ -278,9 +276,9 @@ def test_socket_ingest_throughput(benchmark, results_dir):
     gateway = benchmark(socket_round)
     assert gateway.estimate().users == WIRE_USERS
 
-    # One more round, instrumented: queue-depth occupancy, backpressure
-    # stalls and latency distributions ride the perf record, so a future
-    # regression comes with the saturation numbers attached.
+    # One more round, instrumented: the ack and fold latency
+    # distributions ride the perf record, so a future regression comes
+    # with the numbers attached.
     snapshot = socket_round(MetricsRegistry()).stats_snapshot()
     counters = snapshot["counters"]
     assert counters["frames_accepted"] == len(frames)
@@ -297,7 +295,6 @@ def test_socket_ingest_throughput(benchmark, results_dir):
         SOCKET_SHARDS,
         {
             "clients": SOCKET_CLIENTS,
-            "queue_depth": SOCKET_QUEUE_DEPTH,
             "seconds_mean": seconds,
             "frames_per_second": len(frames) / seconds,
             "mb_per_second": total_bytes / seconds / 1e6,
@@ -309,7 +306,6 @@ def test_socket_ingest_throughput(benchmark, results_dir):
         section="socket",
     )
     families = snapshot["metrics"]
-    queues = families["gateway_queue_depth"]["values"]
     ack = families["gateway_ack_latency_seconds"]["values"][""]
     fold = families["gateway_fold_seconds"]["values"][""]
     _record_wire_result(
@@ -317,21 +313,8 @@ def test_socket_ingest_throughput(benchmark, results_dir):
         SOCKET_SHARDS,
         {
             "counters": counters,
-            "queue_depth_time_weighted_mean": {
-                labels: round(value["time_weighted_mean"], 6)
-                for labels, value in sorted(queues.items())
-            },
-            "queue_depth_max": {
-                labels: value["max"] for labels, value in sorted(queues.items())
-            },
             "ack_latency_seconds_mean": ack["mean"],
             "fold_seconds_mean": fold["mean"],
-            "backpressure_stalls": families[
-                "gateway_backpressure_stalls_total"
-            ]["values"][""],
-            "backpressure_stall_seconds": families[
-                "gateway_backpressure_stall_seconds_total"
-            ]["values"][""],
         },
         section="telemetry",
     )

@@ -4,12 +4,12 @@ The production topology of the paper's collection model: many reporting
 clients connect to a TCP collection gateway, handshake their
 `CollectionContract` fingerprint (a misconfigured client is turned away
 before a single report flows), and stream length-prefixed wire frames.
-The gateway validates every frame and fans it over concurrent shard
-consumers feeding a `ShardedServer` through *bounded* queues — a slow
-shard slows its producers down (backpressure) instead of ballooning
-gateway memory. On shutdown the gateway drains every queue and merges,
-and because aggregation is exact, the estimate is bit-identical to
-one-shot in-process ingestion of the same reports.
+The gateway validates every frame and folds it into one shard of a
+`ShardedServer` before acking it — a sender waits on each ack, so a slow
+fold slows its producer down (backpressure) instead of ballooning
+gateway memory. On shutdown the gateway merges its shards, and because
+aggregation is exact, the estimate is bit-identical to one-shot
+in-process ingestion of the same reports.
 
 This example runs the whole round in one process over 127.0.0.1:
 
@@ -80,9 +80,9 @@ async def run_client(port: int, seed: int) -> int:
 
 
 async def run_round() -> None:
-    # --- gateway: sharded consumers behind bounded queues --------------
+    # --- gateway: each frame folded into a shard before its ack --------
     collector = ShardedServer(SCHEMA, EPSILON, protocols=PROTOCOLS, shards=SHARDS)
-    gateway = await serve_collection(collector, "127.0.0.1", 0, queue_depth=2)
+    gateway = await serve_collection(collector, "127.0.0.1", 0)
     print("gateway listening on 127.0.0.1:%d (%d shards)" % (gateway.port, SHARDS))
 
     # --- concurrent clients -------------------------------------------
@@ -106,7 +106,7 @@ async def run_round() -> None:
     except ContractMismatchError as error:
         print("rogue client rejected at handshake:\n  %s" % error)
 
-    # --- drain-and-merge shutdown, then read the estimate -------------
+    # --- shutdown, then read the merged estimate ----------------------
     await gateway.stop()
     estimate = gateway.estimate()
 

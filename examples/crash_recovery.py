@@ -6,7 +6,7 @@ cycled. This example makes the round durable with `repro.storage`: the
 gateway checkpoints every acknowledged frame (the aggregation snapshot
 plus each sender's acknowledged-frame watermark) into an append-only
 segment-log store, then "dies" mid-round — torn down abruptly, no
-drain, no final checkpoint, exactly what SIGKILL leaves behind.
+final checkpoint, exactly what SIGKILL leaves behind.
 
 A replacement gateway opens the same store, recovers the newest intact
 checkpoint (onto a *different* shard count — checkpoints are
@@ -77,9 +77,6 @@ async def crash(gateway) -> None:
         writer.transport.abort()
     if gateway._connections:
         await asyncio.gather(*gateway._connections, return_exceptions=True)
-    for consumer in gateway._consumers:
-        consumer.cancel()
-    await asyncio.gather(*gateway._consumers, return_exceptions=True)
     await tcp.wait_closed()
 
 

@@ -115,7 +115,7 @@ async def federated_round(rounds: list) -> dict:
             )
         )
 
-        # Stop the edges: each drains its gateway and ALWAYS pushes its
+        # Stop the edges: each stops its gateway and ALWAYS pushes its
         # final cumulative snapshot, so the root holds complete rounds.
         for edge in edges:
             await edge.stop()

@@ -145,12 +145,18 @@ def positive_count(name: str, value: Any, error: Type[ReproError]) -> int:
     return count
 
 
-def positive_seconds(name: str, value: Any, error: Type[ReproError]) -> float:
-    """``value`` as a finite ``float > 0``, or ``error`` — ``nan`` is no period."""
+def positive_seconds(
+    name: str, value: Any, error: Type[ReproError], zero: bool = False
+) -> float:
+    """``value`` as a finite ``float > 0`` (``>= 0`` with ``zero``), or
+    ``error`` — ``nan`` is no period, and ``asyncio.sleep(nan)`` never ends."""
     try:
         seconds = float(value)
     except (TypeError, ValueError):
         raise error("%s must be a number, got %r" % (name, value)) from None
-    if not (math.isfinite(seconds) and seconds > 0):
-        raise error("%s must be finite and > 0, got %r" % (name, value))
+    if not (math.isfinite(seconds) and (seconds > 0 or zero and seconds == 0)):
+        raise error(
+            "%s must be finite and %s 0, got %r"
+            % (name, ">=" if zero else ">", value)
+        )
     return seconds

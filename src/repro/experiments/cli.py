@@ -52,7 +52,6 @@ COLLECTION_FLAGS = {
     # the serving side owns the round's durable state
     "--checkpoint": ((IN_PROCESS,) + SERVING, "checkpoint"),
     "--checkpoint-every": (("--serve", "--edge"), "checkpoint_every"),
-    "--queue-depth": (("--serve", "--edge"), "queue_depth"),
     "--expect-users": (SERVING, "expect_users"),
     "--port-file": (SERVING, "port_file"),
     # the listening side presents the certificate
@@ -158,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="HOST:PORT",
         default=None,
         help="serve an asyncio collection gateway (sharded per --shards); "
-        "drain and print the merged estimate once --expect-users users "
+        "stop and print the merged estimate once --expect-users users "
         "arrived (port 0 binds an ephemeral port, see --port-file)",
     )
     socket_mode.add_argument(
@@ -258,13 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: --users, i.e. one client)",
     )
     collection.add_argument(
-        "--queue-depth",
-        type=int,
-        default=None,
-        help="serve mode: bound of each shard consumer's queue (the "
-        "backpressure knob; default 8)",
-    )
-    collection.add_argument(
         "--port-file",
         metavar="PATH",
         default=None,
@@ -275,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="socket modes: write the telemetry snapshot (counters, "
-        "histograms, time-weighted queue gauges) to PATH as JSON on "
+        "histograms, gauges) to PATH as JSON on "
         "exit — the serve-mode document matches what the live STATS "
         "socket request returns",
     )

@@ -6,8 +6,9 @@ categorical attribute), all deterministic in their seeds:
 
 * :func:`run_collection_gateway` — serve an asyncio collection gateway
   (``collection --serve HOST:PORT``): accept handshaken connections,
-  fan frames over sharded consumers, and once ``expect_users`` users
-  have been accepted, drain-and-merge and print the estimate.
+  fold each frame into a shard before acking it, and once
+  ``expect_users`` users have been accepted, stop, merge and print the
+  estimate.
 * :func:`run_collection_sender` — act as one reporting client
   (``collection --connect HOST:PORT``): generate the seeded records,
   perturb, wire-encode, ship every frame plus a trailing zero-user
@@ -269,7 +270,6 @@ def run_collection_gateway(
     endpoint: str,
     shards: int = 1,
     expect_users: int = ROUND_USERS,
-    queue_depth: int = 8,
     port_file: Optional[Union[str, pathlib.Path]] = None,
     checkpoint: Optional[str] = None,
     checkpoint_every: Optional[int] = None,
@@ -280,7 +280,7 @@ def run_collection_gateway(
     """Serve one socket round and return the formatted merged estimate.
 
     The gateway accepts connections until ``expect_users`` users have
-    been accepted across all of them, then drains the shard queues,
+    been accepted (and so folded) across all of them, then stops,
     merges, and renders the estimate. ``port_file`` (written once the
     socket is bound, holding the bare port number) lets scripts start
     the server on port 0 and discover where it landed.
@@ -309,7 +309,6 @@ def run_collection_gateway(
                 protocols=ROUND_PROTOCOLS,
                 shards=shards,
             ),
-            queue_depth=queue_depth,
             store=store,
             checkpoint_every_frames=every,
         ),
@@ -406,7 +405,7 @@ def run_oneshot_reference(
     """In-process ingestion of the same frames, same output format.
 
     ``diff`` against a gateway's output asserts that the socket path —
-    concurrent clients, sharded consumers, backpressure stalls and all —
+    concurrent clients, sharded folds, backpressure and all —
     changed the estimate by exactly nothing. With ``metrics_path`` the
     server's telemetry (decode timing, fold counters) is written on exit
     — telemetry never changes the estimate, so the diff stays empty.
@@ -470,7 +469,6 @@ def run_federation_edge(
     listen: str = "127.0.0.1:0",
     shards: int = 1,
     expect_users: int = ROUND_USERS,
-    queue_depth: int = 8,
     push_every: int = 2,
     edge_number: int = 0,
     port_file: Optional[Union[str, pathlib.Path]] = None,
@@ -509,7 +507,6 @@ def run_federation_edge(
             ROUND_EPSILON,
             protocols=ROUND_PROTOCOLS,
             shards=shards,
-            queue_depth=queue_depth,
             store=store,
             checkpoint_every_frames=every,
             edge_id=round_edge_id(edge_number),

@@ -60,7 +60,7 @@ class EdgeAggregator:
     schema, epsilon, sampled_attributes, protocols:
         The collection contract — necessarily the same one the root and
         every client operate under.
-    shards, queue_depth, max_frame_bytes:
+    shards, max_frame_bytes:
         Local ingestion shape, as for
         :class:`~repro.transport.CollectionGateway`.
     store, checkpoint_every_frames, checkpoint_every_seconds:
@@ -76,9 +76,10 @@ class EdgeAggregator:
         Upstream push triggers; either, both, or neither (``None`` means
         pushes happen only at :meth:`stop`, which always pushes).
     push_attempts, push_retry_delay:
-        Transport-failure retry policy per push; each reconnect
-        re-learns the root's epoch watermark, so retries are always
-        safe.
+        Transport-failure retry policy per push: at most
+        ``push_attempts`` connections, ``push_retry_delay`` seconds
+        apart (finite and ``>= 0``). Each reconnect re-learns the root's
+        epoch watermark, so retries are always safe.
     metrics:
         Optional shared :class:`~repro.telemetry.MetricsRegistry`; one
         is created when omitted. The gateway, the local shards, the
@@ -92,7 +93,6 @@ class EdgeAggregator:
         sampled_attributes: Optional[int] = None,
         protocols: ProtocolSpec = None,
         shards: int = 2,
-        queue_depth: int = 8,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         store: Optional[CheckpointStore] = None,
         checkpoint_every_frames: Optional[int] = None,
@@ -115,13 +115,15 @@ class EdgeAggregator:
         push_attempts = positive_count(
             "push_attempts", push_attempts, TransportError
         )
+        push_retry_delay = positive_seconds(
+            "push_retry_delay", push_retry_delay, TransportError, zero=True
+        )
         self.telemetry = metrics if metrics is not None else MetricsRegistry()
         self.server = ShardedServer(
             schema, epsilon, sampled_attributes, protocols, shards=shards
         )
         self.gateway = CollectionGateway(
             self.server,
-            queue_depth=queue_depth,
             max_frame_bytes=max_frame_bytes,
             store=store,
             checkpoint_every_frames=checkpoint_every_frames,
@@ -132,7 +134,7 @@ class EdgeAggregator:
         self.push_every_frames = push_every_frames
         self.push_every_seconds = push_every_seconds
         self.push_attempts = push_attempts
-        self.push_retry_delay = float(push_retry_delay)
+        self.push_retry_delay = push_retry_delay
         self._upstream: Optional[Tuple[str, int]] = None
         self._upstream_ssl = None
         self._pusher: Optional[StatePusher] = None
@@ -235,15 +237,15 @@ class EdgeAggregator:
     async def stop(
         self, abort_connections: bool = False, grace: Optional[float] = None
     ) -> None:
-        """Drain the local round, push the final state, close upstream.
+        """Stop the local round, push the final state, close upstream.
 
-        The gateway stops first (drain-and-merge, final local checkpoint
-        when a store is configured), so the closing push covers *every*
-        acknowledged frame. The final push always happens — even when no
-        frame arrived since the last one — so the root provably holds
-        this edge's complete round; a push failure here propagates after
-        cleanup, because an edge that could not deliver its final state
-        has not finished the round.
+        The gateway stops first (connections settled, final local
+        checkpoint when a store is configured), so the closing push
+        covers *every* acknowledged frame. The final push always
+        happens — even when no frame arrived since the last one — so the
+        root provably holds this edge's complete round; a push failure
+        here propagates after cleanup, because an edge that could not
+        deliver its final state has not finished the round.
         """
         self._stopping = True
         if self._wake is not None:
@@ -287,7 +289,7 @@ class EdgeAggregator:
     # -------------------------------------------------------------- pushing
 
     def _on_frame(self) -> None:
-        # Runs synchronously under the gateway's intake barrier: cheap
+        # Runs synchronously after a frame's fold, before its ack: cheap
         # bookkeeping only.
         self._frames_since_push += 1
         self._m_unpushed.set(self._frames_since_push)
@@ -340,8 +342,9 @@ class EdgeAggregator:
         """Cut a cumulative snapshot and deliver it upstream; its epoch.
 
         Serialised: concurrent callers queue on a lock, so snapshots go
-        out in epoch order. The gateway's shard queues are drained first
-        so the snapshot covers every frame acknowledged before the call.
+        out in epoch order. The gateway folds every frame before its
+        ack, so the snapshot covers every frame acknowledged before the
+        call.
 
         Whenever the connection's acknowledged epoch matches this edge's
         recorded base — i.e. the root provably holds the exact state the
@@ -360,8 +363,7 @@ class EdgeAggregator:
         :class:`~repro.exceptions.TransportError` before any state is cut.
         """
         async with self._push_lock:
-            await self.gateway.drain()
-            # A poisoned gateway's state misses folds it acknowledged;
+            # A poisoned gateway's shard may hold a half-done fold;
             # pushing it would let the root serve a partial aggregate.
             self.gateway._check_folds()
             frames = self.gateway.frames_accepted

@@ -45,7 +45,6 @@ from ..telemetry import MetricsRegistry, counted, emit
 from ..transport.framing import (
     DEFAULT_MAX_FRAME_BYTES,
     STATUS_CONTRACT_MISMATCH,
-    STATUS_TRANSPORT_ERROR,
     STATUS_WIRE_ERROR,
 )
 from ..transport.stream import STATE_STREAM, Refusal, StreamServer
@@ -367,20 +366,7 @@ class RootAggregator(StreamServer):
                     del self._edges[edge_id]
                 else:
                     self._edges[edge_id] = previous
-                emit(
-                    self._log,
-                    "checkpoint_failed",
-                    level=logging.ERROR,
-                    edge_id=edge_id.hex(),
-                    error=str(exc),
-                )
-                self._poison(exc)
-                return Refusal(
-                    "checkpoint_failed",
-                    STATUS_TRANSPORT_ERROR,
-                    exc,
-                    "root checkpoint failed: %s" % exc,
-                )
+                return self._fail("checkpoint", exc, edge_id=edge_id.hex())
         self._m_pushes_accepted.inc()
         self._m_bytes_received.inc(len(payload))
         if delta:

@@ -87,6 +87,23 @@ def validate_values(
     return np.clip(arr, lo, hi)
 
 
+def check_values(
+    values: np.ndarray, domain: Tuple[float, float]
+) -> np.ndarray:
+    """:func:`validate_values`'s check alone: ``values`` as float64, unclipped.
+
+    Copies nothing that is already a float64 array, for a kernel that
+    must refuse bad input before its first draw while its branches each
+    make their own :func:`validated_copy`.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.size:
+        lo, hi = domain
+        if not (arr.min() >= lo - DOMAIN_ATOL and arr.max() <= hi + DOMAIN_ATOL):
+            validate_values(arr, domain)  # raises the typed error
+    return arr
+
+
 def validated_copy(
     values: np.ndarray, domain: Tuple[float, float]
 ) -> np.ndarray:

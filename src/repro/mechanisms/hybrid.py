@@ -26,7 +26,7 @@ from typing import Tuple
 import numpy as np
 
 from ..rng import RngLike, ensure_rng
-from .base import Mechanism, select, validate_epsilon, validate_values
+from .base import Mechanism, check_values, select, validate_epsilon
 from .duchi import DuchiMechanism
 from .piecewise import PiecewiseMechanism
 
@@ -56,11 +56,13 @@ class HybridMechanism(Mechanism):
         self, values: np.ndarray, epsilon: float, rng: RngLike = None
     ) -> np.ndarray:
         eps = validate_epsilon(epsilon)
-        arr = validate_values(values, self.input_domain)
-        gen = ensure_rng(rng)
         alpha = self.mixing_probability(eps)
         if alpha == 0.0:
-            return self._duchi.perturb(arr, eps, gen)
+            return self._duchi.perturb(values, eps, rng)
+        # Checked before the coin's draw, but not copied: each branch's
+        # validated_copy is its one work buffer.
+        arr = check_values(values, self.input_domain)
+        gen = ensure_rng(rng)
         use_piecewise = gen.random(arr.shape) < alpha
         piecewise_draw = self._piecewise.perturb(arr, eps, gen)
         duchi_draw = self._duchi.perturb(arr, eps, gen)

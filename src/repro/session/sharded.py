@@ -3,7 +3,7 @@
 :class:`ShardedServer` owns ``N`` independent :class:`~repro.session.
 LDPServer` workers constructed under one collection contract and routes
 incoming batches round-robin across them — the shape of a real ingestion
-tier where frames arrive on parallel consumers. Because every aggregation
+tier where frames land on several workers. Because every aggregation
 state is *exactly* additive (big-integer sums underneath the float
 estimates, see :mod:`repro.session.streaming`), the merged estimate is a
 pure function of the multiset of ingested reports:

@@ -19,10 +19,10 @@ event                     fields
                           ``edge_id``, ``resume_epoch``)
 ``handshake_rejected``    ``reason``, ``detail``
 ``stats_served``          ``bytes``
-``frame_accepted``        ``sender_id``, ``seq``, ``users``, ``shard``
+``frame_accepted``        ``sender_id``, ``seq``, ``users``, ``shard``,
+                          ``fold_seconds``
 ``frame_rejected``        ``reason``, ``sender_id``, ``detail``
 ``frame_deduped``         ``sender_id``, ``seq``
-``fold``                  ``shard``, ``users``, ``seconds``
 ``fold_failed``           ``shard``, ``error``
 ``checkpoint_cut``        ``trigger`` (``frames``/``timer``/``final``),
                           ``frames``, ``users``, ``seconds``

@@ -6,10 +6,10 @@ the same strictness guarantees:
 
 * :func:`serve_collection` / :class:`CollectionGateway` — an asyncio
   ingestion front: contract handshake on connect (fingerprints compared
-  *before* any payload bytes flow), accepted frames validated and fanned
-  over a pool of concurrent shard consumers feeding a
-  :class:`~repro.session.ShardedServer` through bounded queues (explicit
-  backpressure), graceful drain-and-merge on shutdown — and, with a
+  *before* any payload bytes flow), each accepted frame validated and
+  folded into a :class:`~repro.session.ShardedServer` shard before its
+  ack (so the ack wait is the backpressure), graceful shutdown — and,
+  with a
   :class:`~repro.storage.CheckpointStore`, periodic round checkpoints
   carrying per-sender acknowledgement watermarks, so a SIGKILLed gateway
   restarts from durable state and resumes the round exactly;

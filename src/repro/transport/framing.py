@@ -36,7 +36,7 @@ answered by a status message (gateway → client)::
     u8 status | u32 message length | utf-8 message
 
 ``STATUS_OK`` acknowledges that the frame was decoded, validated against
-the contract, and handed to a shard consumer — and, on a checkpointing
+the contract, and folded into a shard — and, on a checkpointing
 gateway, that every checkpoint the frame triggered is durable. Error
 statuses carry the server-side diagnostic and map back onto the
 library's typed exceptions via :func:`raise_for_status`; after reporting

@@ -5,10 +5,10 @@ performs the contract handshake (both sides compare fingerprints before
 any payload bytes flow), and then ships wire frames produced by
 :func:`~repro.wire.encode_batch` — one sequenced, length-prefixed frame
 per report batch, each acknowledged by the gateway after it has been
-decoded, validated and handed to a shard consumer.
+decoded, validated and folded into a shard.
 
 The per-frame acknowledgement is the client half of the backpressure
-loop: a gateway whose shard queues are full simply does not ack, so
+loop: a gateway acks a frame only once it is folded, so
 :meth:`AsyncReportSender.send` naturally slows a producer down to the
 aggregation tier's pace. Error statuses come back as the library's own
 exception types — :class:`~repro.exceptions.ContractMismatchError`,
@@ -33,7 +33,7 @@ import asyncio
 import logging
 from typing import Optional, Sequence
 
-from ..exceptions import TransportError, positive_count
+from ..exceptions import TransportError, positive_count, positive_seconds
 from ..session.client import ReportBatch
 from ..telemetry import MetricsRegistry, emit, event_logger
 from ..wire.codec import encode_batch
@@ -95,8 +95,8 @@ class AsyncReportSender(StreamClient):
         number is at or below the gateway's resume watermark the frame
         is already durable server-side — it is skipped locally (counted
         in :attr:`frames_skipped`) and no bytes go out. Otherwise the
-        ack only arrives once the gateway has validated the frame and
-        found queue room for it — this await *is* the backpressure.
+        ack only arrives once the gateway has validated and folded the
+        frame — this await *is* the backpressure.
         """
         self._require_open()
         seq = self._next_seq
@@ -115,9 +115,9 @@ class AsyncReportSender(StreamClient):
         """Ship a zero-user frame: a liveness no-op for idle gateways.
 
         An empty :class:`~repro.session.ReportBatch` is a first-class
-        frame — it round-trips the full validate/route/ack path, changes
+        frame — it round-trips the full validate/fold/ack path, changes
         no aggregation state, and proves the connection (and the
-        gateway's consumers) are still moving.
+        gateway) are still moving.
         """
         await self.send(
             ReportBatch(users=0, payloads={}, counts={}, protocols={})
@@ -140,8 +140,8 @@ async def replay_frames(
     Connects under ``sender_id``, skips every frame the gateway already
     holds durably (its resume watermark), ships the rest, and half-closes.
     On a *transport* failure — connection refused or dropped, gateway
-    restarting — it waits ``retry_delay`` seconds and reconnects, up to
-    ``attempts`` total; each reconnect re-learns the watermark, so no
+    restarting — it waits ``retry_delay`` seconds (finite and ``>= 0``)
+    and reconnects, up to ``attempts`` total; each reconnect re-learns the watermark, so no
     frame is ever contributed twice. Typed rejections
     (:class:`~repro.exceptions.ContractMismatchError`,
     :class:`~repro.exceptions.WireFormatError`) are never retried — a
@@ -159,6 +159,7 @@ async def replay_frames(
     counts into ``sender_retries_total``.
     """
     total = positive_count("attempts", attempts, TransportError)
+    delay = positive_seconds("retry_delay", retry_delay, TransportError, zero=True)
     frames = list(frames)
     metrics = metrics if metrics is not None else MetricsRegistry()
     retries = metrics.counter(
@@ -187,7 +188,7 @@ async def replay_frames(
         )
 
     return await retry_connect(
-        deliver, total, retry_delay, "round not delivered", failed
+        deliver, total, delay, "round not delivered", failed
     )
 
 

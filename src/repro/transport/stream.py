@@ -402,6 +402,24 @@ class StreamServer:
         if self._progress is not None:
             self._progress.set()
 
+    def _fail(self, what: str, exc: Exception, **fields: Any) -> Refusal:
+        """Poison the server over a failed ``what`` and refuse its frame.
+
+        A fold or a checkpoint that raised leaves nothing this server
+        may ack: the ``<what>_failed`` event is logged at ERROR, the
+        server is poisoned, and the returned refusal answers the frame
+        with ``STATUS_TRANSPORT_ERROR``, so no peer hears OK for it.
+        """
+        reason = "%s_failed" % what
+        emit(self._log, reason, level=logging.ERROR, **fields, error=str(exc))
+        self._poison(exc)
+        return Refusal(
+            reason,
+            STATUS_TRANSPORT_ERROR,
+            exc,
+            "%s %s failed: %s" % (self.KIND.prefix, what, exc),
+        )
+
     def _count_checkpoint(self, nbytes: int) -> None:
         """Count one saved checkpoint of ``nbytes`` encoded bytes."""
         self._m_checkpoints.inc()

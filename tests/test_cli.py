@@ -60,6 +60,7 @@ COLLECTION_MISUSE = [
         ["--checkpoint", "c.json", "--checkpoint-every", "2", "--root", "127.0.0.1:0"],
         "--checkpoint-every",
     ),
+    # a retired flag is refused by name in every mode
     ("queue-depth-connect", ["--queue-depth", "4", "--connect", "127.0.0.1:9"], "--queue-depth"),
     ("expect-users-oneshot", ["--expect-users", "10", "--oneshot", "7"], "--expect-users"),
     ("port-file-connect", ["--port-file", "p.txt", "--connect", "127.0.0.1:9"], "--port-file"),
@@ -154,7 +155,7 @@ def test_runner_defaults_are_the_cli_defaults():
     """The values a CLI user gets without the flag, each written once."""
     runners = _socket_runners()
     expected = {
-        "--serve": dict(shards=1, expect_users=4000, queue_depth=8),
+        "--serve": dict(shards=1, expect_users=4000),
         "--connect": dict(seed=0, users=4000, batches=6, retry=1),
         "--oneshot": dict(users=4000, batches=6),
         "--root": dict(expect_users=4000),
@@ -162,7 +163,6 @@ def test_runner_defaults_are_the_cli_defaults():
             listen="127.0.0.1:0",
             shards=1,
             expect_users=4000,
-            queue_depth=8,
             push_every=2,
             edge_number=0,
             retry=1,

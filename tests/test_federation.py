@@ -367,7 +367,6 @@ class TestDeltaPushes:
             await replay_frames(
                 "127.0.0.1", edge.port, root.contract, frames, _sender_id(1)
             )
-            await edge.gateway.drain()
             first = await edge.push_now()
             second = await edge.push_now()  # same connection: delta
             assert second == first + 1
@@ -827,7 +826,6 @@ class TestCrashRecovery:
                 frames[:2],
                 _sender_id(1),
             )
-            await edge.gateway.drain()
             # "SIGKILL": no stop(), no final push — just drop the tasks
             await edge.gateway.stop(abort_connections=True)
             if edge._loop_task is not None:
@@ -1075,6 +1073,13 @@ class TestEdgeAggregatorBehaviour:
             dict(push_every_seconds=float("nan")),
             dict(push_every_seconds=float("inf")),
             dict(push_every_seconds="abc"),
+            # asyncio.sleep(nan) never returns: a NaN retry delay would
+            # hang the first retried push; negative delays are no delay
+            dict(push_retry_delay=float("nan")),
+            dict(push_retry_delay=float("inf")),
+            dict(push_retry_delay=-0.5),
+            dict(push_retry_delay="abc"),
+            dict(push_retry_delay=None),
         ):
             with pytest.raises(TransportError):
                 EdgeAggregator(SCHEMA, EPSILON, protocols=SPEC, **kwargs)
@@ -1164,10 +1169,9 @@ class TestEdgeAggregatorBehaviour:
         _assert_estimates_equal(_reference(frame_lists), revived.estimate())
 
     def test_poisoned_gateway_pushes_nothing_upstream(self):
-        """A fold that fails after its frame was acked leaves the edge's
-        state short of what it acknowledged: push_now must raise the
-        gateway's error instead of shipping that partial state for the
-        root to serve."""
+        """A fold that fails refuses its frame and may leave the edge's
+        shard partially updated: push_now must raise the gateway's error
+        instead of shipping that partial state for the root to serve."""
 
         async def scenario():
             root = await _root()
@@ -1184,9 +1188,12 @@ class TestEdgeAggregatorBehaviour:
 
             shard._fold_validated = second_fold_fails
             frames = _frames(seed=81, users=40, batches=2)
-            await replay_frames(
-                "127.0.0.1", edge.port, root.contract, frames, _sender_id(1)
-            )
+            # the first frame is folded and acked; the second is refused
+            with pytest.raises(TransportError, match="fold failed"):
+                await replay_frames(
+                    "127.0.0.1", edge.port, root.contract, frames, _sender_id(1)
+                )
+            assert edge.gateway.frames_accepted == 1
             with pytest.raises(TransportError, match="incomplete"):
                 await edge.push_now()
             with pytest.raises(TransportError, match="incomplete"):

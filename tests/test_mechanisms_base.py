@@ -11,6 +11,7 @@ import pytest
 from repro.exceptions import DomainError, PrivacyBudgetError
 from repro.mechanisms import (
     AffineTransformedMechanism,
+    HybridMechanism,
     LaplaceMechanism,
     PiecewiseMechanism,
     SquareWaveMechanism,
@@ -18,7 +19,7 @@ from repro.mechanisms import (
     validate_epsilon,
     validate_values,
 )
-from repro.mechanisms.base import validated_copy
+from repro.mechanisms.base import check_values, validated_copy
 from testutil import interior_value
 
 
@@ -61,9 +62,12 @@ class TestValidatedCopy:
     def test_refuses_with_validate_values_message(self, values):
         with pytest.raises(DomainError) as copied:
             validated_copy(np.array(values), (-1, 1))
+        with pytest.raises(DomainError) as checked_only:
+            check_values(np.array(values), (-1, 1))
         with pytest.raises(DomainError) as checked:
             validate_values(np.array(values), (-1, 1))
         assert str(copied.value) == str(checked.value)
+        assert str(checked_only.value) == str(checked.value)
 
     def test_c_order_copy_of_a_transposed_view(self):
         records = np.random.default_rng(0).uniform(-1, 1, (50, 8))
@@ -81,6 +85,42 @@ class TestValidatedCopy:
         ).tolist()
         scalar = validated_copy(1.0 + 1e-12, (-1, 1))
         assert scalar.shape == () and scalar == 1.0
+
+
+class TestCheckValues:
+    """The check alone (its refusals are checked with validated_copy's)."""
+
+    def test_returns_the_callers_array_unclipped(self):
+        values = np.array([0.5, 1.0 + 5e-10])
+        out = check_values(values, (-1, 1))
+        assert out is values and out[1] == 1.0 + 5e-10
+        assert check_values([0, 1], (-1, 1)).dtype == np.float64
+        assert check_values(np.empty(0), (-1, 1)).size == 0
+
+
+class TestHybridPerturb:
+    """Hybrid validates once, before any draw, and copies only per branch."""
+
+    @pytest.mark.parametrize("epsilon", [0.5, 2.0])  # pure Duchi, mixture
+    @pytest.mark.parametrize(
+        "values", [[0.2, np.nan], [np.inf], [1.5], [-1.0 - 2e-9, 0.3]]
+    )
+    def test_refuses_before_any_draw(self, epsilon, values):
+        gen = np.random.default_rng(3)
+        before = gen.bit_generator.state
+        with pytest.raises(DomainError) as refused:
+            HybridMechanism().perturb(np.array(values), epsilon, gen)
+        with pytest.raises(DomainError) as validated:
+            validate_values(np.array(values), (-1, 1))
+        assert str(refused.value) == str(validated.value)
+        assert gen.bit_generator.state == before
+
+    def test_leaves_the_callers_values_alone(self):
+        records = np.random.default_rng(1).uniform(-1, 1, (40, 6))
+        records[3, 2] = 1.0 + 5e-10
+        kept = records.copy()
+        HybridMechanism().perturb(records[:, 1:4].T, 2.0, 7)
+        np.testing.assert_array_equal(records, kept)
 
 
 class TestMechanismContract:

@@ -100,7 +100,6 @@ async def _gateway(store=None, shards=2, checkpoint_every=None, **kwargs):
         server,
         "127.0.0.1",
         0,
-        queue_depth=2,
         store=store,
         checkpoint_every_frames=checkpoint_every,
         **kwargs,
@@ -116,7 +115,7 @@ async def _crash(gateway):
     tcp, gateway._tcp = gateway._tcp, None
     if tcp is not None:
         tcp.close()
-    tasks = list(gateway._consumers) + list(gateway._connections)
+    tasks = list(gateway._connections)
     if gateway._timer is not None:
         tasks.append(gateway._timer)
     for task in tasks:
@@ -554,7 +553,7 @@ class TestReplayRetry:
                     SCHEMA, EPSILON, protocols=SPEC, shards=2
                 )
                 replacement = CollectionGateway(
-                    server, queue_depth=2, store=store,
+                    server, store=store,
                     checkpoint_every_frames=1,
                 )
                 await replacement.start("127.0.0.1", port)
@@ -660,6 +659,44 @@ class TestReplayRetry:
         assert isinstance(error.__cause__, ConnectionRefusedError)
         shot = registry.snapshot()
         assert shot["sender_retries_total"]["values"][""] == 3.0
+
+    @pytest.mark.parametrize(
+        "delay", [float("nan"), float("inf"), -0.5, "abc", None]
+    )
+    def test_bad_retry_delay_refused_before_connecting(self, delay):
+        """asyncio.sleep(nan) never returns: a NaN delay used to hang the
+        round after its first failed attempt. Every delay that is not a
+        finite number >= 0 is refused before any connection."""
+        from unittest import mock
+
+        from repro.transport.sender import AsyncReportSender as Sender
+
+        connects = []
+
+        async def refused_connect(*args, **kwargs):
+            connects.append(args)
+            raise ConnectionRefusedError("connection refused")
+
+        async def scenario():
+            with mock.patch.object(
+                Sender, "connect", side_effect=refused_connect
+            ):
+                with pytest.raises(TransportError, match="retry_delay"):
+                    await asyncio.wait_for(
+                        replay_frames(
+                            "127.0.0.1",
+                            1,
+                            _contract(),
+                            _frames(11, batches=1),
+                            SENDER_ONE,
+                            attempts=2,
+                            retry_delay=delay,
+                        ),
+                        timeout=2,
+                    )
+
+        asyncio.run(scenario())
+        assert connects == []
 
     def test_typed_rejections_are_not_retried(self):
         async def scenario():

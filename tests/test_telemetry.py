@@ -388,7 +388,7 @@ class TestGatewayTelemetry:
             registry = MetricsRegistry()
             server = ShardedServer(SCHEMA, EPSILON, protocols=SPEC, shards=2)
             gateway = await serve_collection(
-                server, "127.0.0.1", 0, queue_depth=2, metrics=registry
+                server, "127.0.0.1", 0, metrics=registry
             )
             contract = _contract()
 
@@ -431,11 +431,14 @@ class TestGatewayTelemetry:
         # the instrumented server's fold counters agree too
         assert families["server_users_folded_total"]["values"][""] == 240.0
         assert families["server_batches_folded_total"]["values"][""] == total_frames
-        # both shard queues left their depth series behind
-        assert set(families["gateway_queue_depth"]["values"]) == {
-            "shard=0",
-            "shard=1",
-        }
+        # frames fold on their connection: no queues, no stalls to report
+        assert not {
+            "gateway_queue_depth",
+            "gateway_backpressure_stalls_total",
+            "gateway_backpressure_stall_seconds_total",
+        } & set(families)
+        # both shards folded frames
+        assert all(shard.users > 0 for shard in gateway.server.shards)
 
     def test_stats_request_serves_the_same_counters_mid_round(self):
         """Acceptance: STATS over the socket == stats_snapshot(), while
@@ -447,14 +450,13 @@ class TestGatewayTelemetry:
             registry = MetricsRegistry()
             server = ShardedServer(SCHEMA, EPSILON, protocols=SPEC, shards=2)
             gateway = await serve_collection(
-                server, "127.0.0.1", 0, queue_depth=2, metrics=registry
+                server, "127.0.0.1", 0, metrics=registry
             )
             sender = await AsyncReportSender.connect(
                 "127.0.0.1", gateway.port, _contract()
             )
             async with sender:
                 await sender.send_encoded(frames[0])
-                await gateway.drain()
                 live = await request_stats("127.0.0.1", gateway.port)
                 # the open reporting connection survived the stats poll
                 await sender.send_encoded(frames[1])

@@ -1,8 +1,8 @@
 """Tests for the asyncio socket transport (gateway + sender).
 
 The load-bearing invariant (ISSUE 5 acceptance): a localhost socket
-round — multiple concurrent clients, sharded consumers, mid-round
-backpressure — produces estimates bit-identical to one-shot in-process
+round — multiple concurrent clients, sharded folds, acks that wait on
+the fold — produces estimates bit-identical to one-shot in-process
 ingestion of the same report multiset. Plus the boundary hardening:
 contract mismatches are rejected at the handshake (before any payload
 bytes flow), malformed frames are answered with typed errors and never
@@ -92,9 +92,20 @@ def _assert_estimates_equal(a, b):
         assert np.array_equal(x.raw, y.raw), x.name
 
 
-async def _gateway(shards=2, queue_depth=2, **kwargs):
+async def _gateway(shards=2, **kwargs):
     server = ShardedServer(SCHEMA, EPSILON, protocols=SPEC, shards=shards)
-    return await serve_collection(server, "127.0.0.1", 0, queue_depth=queue_depth, **kwargs)
+    return await serve_collection(server, "127.0.0.1", 0, **kwargs)
+
+
+def _break_folds(shard):
+    """Make ``shard``'s folds raise; returns the original to restore."""
+    original = shard._fold_validated
+
+    def broken_fold(users, canonical):
+        raise RuntimeError("allocation failed mid-fold")
+
+    shard._fold_validated = broken_fold
+    return original
 
 
 class TestHandshake:
@@ -197,14 +208,20 @@ class TestHandshake:
 
 class TestSocketRound:
     def test_concurrent_round_is_bit_identical_to_in_process(self):
-        """Acceptance: sockets + shards + backpressure change nothing."""
+        """Acceptance: sockets + shards + backpressure change nothing,
+        and an ack means the frame is folded."""
 
         async def scenario():
-            # queue_depth=1 over 3 shards: producers outnumber queue
-            # slots, so senders stall on un-acked frames mid-round —
-            # the explicit backpressure path, not just the happy path.
-            gateway = await _gateway(shards=3, queue_depth=1)
+            # Four concurrent senders over 3 shards: every sender waits
+            # on each frame's fold before its next frame goes out.
+            gateway = await _gateway(shards=3)
             contract = _contract()
+            # Runs after each frame's counters moved, before its ack:
+            # the server must already hold every accepted user.
+            seen = []
+            gateway.add_frame_listener(
+                lambda: seen.append((gateway.users, gateway.users_accepted))
+            )
 
             async def one_client(seed):
                 sender = await AsyncReportSender.connect(
@@ -217,16 +234,20 @@ class TestSocketRound:
                 return sender.frames_sent
 
             sent = await asyncio.gather(*(one_client(s) for s in (1, 2, 3, 4)))
+            await gateway.wait_for_users(4 * 240)
+            acked = gateway.estimate()  # no drain: acked is folded
             await gateway.stop()
-            return gateway, sent
+            return gateway, sent, acked, seen
 
-        gateway, sent = asyncio.run(scenario())
+        gateway, sent, acked, seen = asyncio.run(scenario())
         assert sent == [4, 4, 4, 4]  # 3 frames + 1 heartbeat each
         assert gateway.heartbeats == 4
-        _assert_estimates_equal(
-            gateway.estimate(), _reference([_frames(s) for s in (1, 2, 3, 4)])
-        )
-        # every shard consumer actually participated
+        assert len(seen) == 16
+        assert all(users == accepted for users, accepted in seen), seen
+        reference = _reference([_frames(s) for s in (1, 2, 3, 4)])
+        _assert_estimates_equal(acked, reference)
+        _assert_estimates_equal(gateway.estimate(), reference)
+        # every shard actually folded frames
         assert all(shard.users > 0 for shard in gateway.server.shards)
 
     def test_zero_user_heartbeats_are_noops(self):
@@ -271,6 +292,9 @@ class TestSocketRound:
             gateway.estimate()
 
     def test_mid_round_drain_sees_consistent_prefix(self):
+        """An acked frame is already folded: a mid-round estimate covers
+        exactly the acknowledged prefix."""
+
         async def scenario():
             gateway = await _gateway()
             sender = await AsyncReportSender.connect(
@@ -279,7 +303,6 @@ class TestSocketRound:
             async with sender:
                 first, second, third = _frames(11)
                 await sender.send_encoded(first)
-                await gateway.drain()
                 mid_users = gateway.users
                 mid = gateway.estimate()
                 await sender.send_encoded(second)
@@ -376,13 +399,9 @@ class TestFrameRejection:
 
 
 class TestGatewayLifecycle:
-    def test_queue_depth_validated(self, tmp_path):
+    def test_frame_limit_and_triggers_validated(self, tmp_path):
         server = ShardedServer(SCHEMA, EPSILON, protocols=SPEC, shards=2)
-        with pytest.raises(DimensionError):
-            CollectionGateway(server, queue_depth=0)
         # Same bug class as ShardedServer(shards=2.5): no silent int()
-        with pytest.raises(DimensionError, match="integer"):
-            CollectionGateway(server, queue_depth=2.5)
         with pytest.raises(DimensionError, match="integer"):
             CollectionGateway(server, max_frame_bytes=1e6)
         # The frame limit is validated once for every stream server: the
@@ -449,37 +468,42 @@ class TestGatewayLifecycle:
 
     def test_dead_shard_consumer_poisons_gateway_not_estimate(self):
         """Regression: a fold that raises used to kill its consumer
-        silently — later frames were acked but never folded, drain()
-        hung forever, and estimate() served a partial aggregate."""
+        silently — later frames were acked but never folded, and
+        estimate() served a partial aggregate. Now the failing frame
+        itself is refused, and the gateway is poisoned."""
 
         async def scenario():
             gateway = await _gateway(shards=1)
             shard = gateway.server.shards[0]
             frames = _frames(11, users=40, batches=2)
-
-            def broken_fold(users, canonical):
-                raise RuntimeError("allocation failed mid-fold")
-
             sender = await AsyncReportSender.connect(
                 "127.0.0.1", gateway.port, _contract()
             )
             async with sender:
-                original = shard._fold_validated
-                shard._fold_validated = broken_fold
+                original = _break_folds(shard)
                 try:
-                    await sender.send_encoded(frames[0])  # acked, fold dies
-                    await gateway.drain()  # must NOT hang on the dead shard
+                    # refused, not acked: no sender hears OK for it
+                    with pytest.raises(TransportError, match="fold failed"):
+                        await sender.send_encoded(frames[0])
                 finally:
                     shard._fold_validated = original
+            # a later frame, on a fresh connection, is refused too
+            sender = await AsyncReportSender.connect(
+                "127.0.0.1", gateway.port, _contract()
+            )
+            async with sender:
                 with pytest.raises(TransportError, match="aggregation failed"):
                     await sender.send_encoded(frames[1])
             with pytest.raises(TransportError, match="incomplete"):
                 gateway.estimate()
             with pytest.raises(TransportError, match="incomplete"):
                 gateway.merged()
-            await gateway.stop()  # must not hang either
+            await gateway.stop()  # must not hang
+            return gateway
 
-        asyncio.run(scenario())
+        gateway = asyncio.run(scenario())
+        assert gateway.frames_accepted == 0
+        assert gateway.frames_rejected == 2
 
     def test_wait_for_users_raises_when_poisoned_mid_wait(self):
         """Satellite: a poisoned gateway used to leave wait_for_users
@@ -491,20 +515,16 @@ class TestGatewayLifecycle:
             shard = gateway.server.shards[0]
             waiter = asyncio.ensure_future(gateway.wait_for_users(10_000))
             await asyncio.sleep(0)  # the waiter is parked on the event
-
-            def broken_fold(users, canonical):
-                raise RuntimeError("allocation failed mid-fold")
-
             sender = await AsyncReportSender.connect(
                 "127.0.0.1", gateway.port, _contract()
             )
             async with sender:
-                original = shard._fold_validated
-                shard._fold_validated = broken_fold
+                original = _break_folds(shard)
                 try:
-                    await sender.send_encoded(
-                        _frames(12, users=40, batches=1)[0]
-                    )
+                    with pytest.raises(TransportError, match="fold failed"):
+                        await sender.send_encoded(
+                            _frames(12, users=40, batches=1)[0]
+                        )
                     # must raise promptly, not time out
                     with pytest.raises(TransportError, match="incomplete"):
                         await asyncio.wait_for(waiter, timeout=5)
@@ -520,21 +540,16 @@ class TestGatewayLifecycle:
         async def scenario():
             gateway = await _gateway(shards=1)
             shard = gateway.server.shards[0]
-
-            def broken_fold(users, canonical):
-                raise RuntimeError("allocation failed mid-fold")
-
             sender = await AsyncReportSender.connect(
                 "127.0.0.1", gateway.port, _contract()
             )
             async with sender:
-                original = shard._fold_validated
-                shard._fold_validated = broken_fold
+                original = _break_folds(shard)
                 try:
-                    await sender.send_encoded(
-                        _frames(12, users=40, batches=1)[0]
-                    )
-                    await gateway.drain()
+                    with pytest.raises(TransportError, match="fold failed"):
+                        await sender.send_encoded(
+                            _frames(12, users=40, batches=1)[0]
+                        )
                 finally:
                     shard._fold_validated = original
             with pytest.raises(TransportError, match="incomplete"):
@@ -545,23 +560,31 @@ class TestGatewayLifecycle:
 
         asyncio.run(scenario())
 
-    def test_failed_bind_leaves_no_consumers(self):
-        """Regression: a busy port used to leak spawned shard consumers."""
+    def test_failed_bind_leaks_no_task(self, tmp_path):
+        """Regression: a busy port must not leave a started task behind
+        (shard consumers once, the checkpoint timer now)."""
 
         async def scenario():
             gateway = await _gateway()
             other = CollectionGateway(
-                ShardedServer(SCHEMA, EPSILON, protocols=SPEC, shards=2)
+                ShardedServer(SCHEMA, EPSILON, protocols=SPEC, shards=2),
+                store=JsonFileStore(tmp_path / "round.json"),
+                checkpoint_every_seconds=60.0,
             )
             with pytest.raises(OSError):
                 await other.start("127.0.0.1", gateway.port)
-            leaked = list(other._consumers)
+            leaked = [
+                task
+                for task in asyncio.all_tasks()
+                if task is not asyncio.current_task()
+            ]
+            timer = other._timer
             await other.start("127.0.0.1", 0)  # retry works, no orphans
             await other.stop()
             await gateway.stop()
-            return leaked
+            return leaked, timer
 
-        assert asyncio.run(scenario()) == []
+        assert asyncio.run(scenario()) == ([], None)
 
 
 class TestEmptyBatchWirePath:
