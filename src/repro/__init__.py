@@ -152,7 +152,6 @@ from .telemetry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    TimeWeightedGauge,
     enable_json_logs,
 )
 from .transport import (
@@ -232,7 +231,6 @@ __all__ = [
     "StateDeltaError",
     "StorageError",
     "TelemetryError",
-    "TimeWeightedGauge",
     "TransportError",
     "UtilityReport",
     "ValueDistribution",

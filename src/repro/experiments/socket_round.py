@@ -165,7 +165,7 @@ def write_metrics_snapshot(
     The document shape is shared by all five socket modes: ``mode``
     names which side wrote it, ``counters`` are that side's integer
     counts, and ``metrics`` is the full registry snapshot (histograms,
-    time-weighted gauges, labelled families).
+    gauges, labelled families).
     """
     document = {"mode": mode, "counters": counters, "metrics": registry.snapshot()}
     pathlib.Path(path).write_text(

@@ -16,8 +16,9 @@ probability of staying inside a supremum ``ξ`` (the Table II quantity), and
 high-confidence envelopes ``|δ| + z·σ`` used by HDR4ME's λ* selection.
 
 The model needs only the standard normal cdf and its inverse, so it calls
-``scipy.special.ndtr``/``ndtri`` — the functions ``scipy.stats.norm``
-reduces to, with the same bits — and never loads ``scipy.stats``.
+:func:`~repro.framework.normal.ndtr`/:func:`~repro.framework.normal.ndtri`
+— the Cephes functions ``scipy.stats.norm`` reduces to, with the same
+bits — and loads no scipy at all.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from ..exceptions import DistributionError, ParameterError
 from ..mechanisms.base import Mechanism, validate_epsilon
+from .normal import ndtr, ndtri
 from .population import ValueDistribution
 
 

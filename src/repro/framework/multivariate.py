@@ -26,11 +26,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from ..exceptions import DimensionError, ParameterError
 from ..mechanisms.base import Mechanism
 from .deviation import DeviationModel, build_deviation_model, envelope_quantile
+from .normal import ndtr
 from .population import ValueDistribution
 
 Suprema = Union[float, Sequence[float], np.ndarray]

@@ -1,0 +1,258 @@
+"""The standard normal cdf ``Φ`` and its inverse ``Φ⁻¹``.
+
+The Gaussian deviation models (Lemmas 2–3, Theorem 1) need nothing of a
+statistics library beyond these two functions, so they are ported here
+from Moshier's Cephes ``ndtr.c``/``ndtri.c`` — the code
+``scipy.special.ndtr``/``ndtri`` wrap — with the same constants, the
+same ``polevl``/``p1evl`` evaluation order and the same branches. Every
+IEEE operation is one correctly rounded step in both, and the
+transcendental steps (``exp``, ``log``) call the platform libm through
+:mod:`math`, as the C code does, so the outputs carry the same bits
+(pinned by ``tests/test_normal_primitives.py``).
+
+``exp`` is deliberately taken entry by entry with :func:`math.exp`, not
+with ``np.exp``: numpy may use its own SIMD ``exp``, whose last bit is
+not guaranteed to match libm's.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+__all__ = ["ndtr", "ndtri"]
+
+SQRT1_2 = 0.707106781186547524400844362104849039
+#: ``log(2**1024)``: below ``exp(-MAXLOG)`` erfc underflows to zero.
+MAXLOG = 7.09782712893383996843e2
+#: ``exp(-2)``: the edge between ndtri's central and tail expansions.
+EXP_M2 = 0.13533528323661269189
+SQRT_2PI = 2.50662827463100050242e0
+
+# erfc(x) = exp(-x²) · P(x)/Q(x) for 1 ≤ x < 8
+_P = (
+    2.46196981473530512524e-10,
+    5.64189564831068821977e-1,
+    7.46321056442269912687e0,
+    4.86371970985681366614e1,
+    1.96520832956077098242e2,
+    5.26445194995477358631e2,
+    9.34528527171957607540e2,
+    1.02755188689515710272e3,
+    5.57535335369399327526e2,
+)
+_Q = (
+    1.32281951154744992508e1,
+    8.67072140885989742329e1,
+    3.54937778887819891062e2,
+    9.75708501743205489753e2,
+    1.82390916687909736289e3,
+    2.24633760818710981792e3,
+    1.65666309194161350182e3,
+    5.57535340817727675546e2,
+)
+# erfc(x) = exp(-x²) · R(x)/S(x) for x ≥ 8
+_R = (
+    5.64189583547755073984e-1,
+    1.27536670759978104416e0,
+    5.01905042251180477414e0,
+    6.16021097993053585195e0,
+    7.40974269950448939160e0,
+    2.97886665372100240670e0,
+)
+_S = (
+    2.26052863220117276590e0,
+    9.39603524938001434673e0,
+    1.20489539808096656605e1,
+    1.70814450747565897222e1,
+    9.60896809063285878198e0,
+    3.36907645100081516050e0,
+)
+# erf(x) = x · T(x²)/U(x²) for |x| ≤ 1
+_T = (
+    9.60497373987051638749e0,
+    9.00260197203842689217e1,
+    2.23200534594684319226e3,
+    7.00332514112805075473e3,
+    5.55923013010394962768e4,
+)
+_U = (
+    3.35617141647503099647e1,
+    5.21357949780152679795e2,
+    4.59432382970980127987e3,
+    2.26290000613890934246e4,
+    4.92673942608635921086e4,
+)
+
+# ndtri, |y - 1/2| ≤ 3/8
+_P0 = (
+    -5.99633501014107895267e1,
+    9.80010754185999661536e1,
+    -5.66762857469070293439e1,
+    1.39312609387279679503e1,
+    -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.95448858338141759834e0,
+    4.67627912898881538453e0,
+    8.63602421390890590575e1,
+    -2.25462687854119370527e2,
+    2.00260212380060660359e2,
+    -8.20372256168333339912e1,
+    1.59056225126211695515e1,
+    -1.18331621121330003142e0,
+)
+# ndtri, z = sqrt(-2 log y) in [2, 8)
+_P1 = (
+    4.05544892305962419923e0,
+    3.15251094599893866154e1,
+    5.71628192246421288162e1,
+    4.40805073893200834700e1,
+    1.46849561928858024014e1,
+    2.18663306850790267539e0,
+    -1.40256079171354495875e-1,
+    -3.50424626827848203418e-2,
+    -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.57799883256466749731e1,
+    4.53907635128879210584e1,
+    4.13172038254672030440e1,
+    1.50425385692907503408e1,
+    2.50464946208309415979e0,
+    -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2,
+    -9.33259480895457427372e-4,
+)
+# ndtri, z = sqrt(-2 log y) in [8, 64)
+_P2 = (
+    3.23774891776946035970e0,
+    6.91522889068984211695e0,
+    3.93881025292474443415e0,
+    1.33303460815807542389e0,
+    2.01485389549179081538e-1,
+    1.23716634817820021358e-2,
+    3.01581553508235416007e-4,
+    2.65806974686737550832e-6,
+    6.23974539184983293730e-9,
+)
+_Q2 = (
+    6.02427039364742014255e0,
+    3.67983563856160859403e0,
+    1.37702099489081330271e0,
+    2.16236993594496635890e-1,
+    1.34204006088543189037e-2,
+    3.28014464682127739104e-4,
+    2.89247864745380683936e-6,
+    6.79019408009981274425e-9,
+)
+
+
+def _polevl(x, coef):
+    """Cephes ``polevl``: ``coef[0]·xᴺ + … + coef[N]`` by Horner's rule."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x, coef):
+    """Cephes ``p1evl``: :func:`_polevl` with an implied leading 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf_ratio(x):
+    """Cephes ``erf`` for ``|x| ≤ 1`` (the only range ndtr reaches)."""
+    z = x * x
+    return x * _polevl(z, _T) / _p1evl(z, _U)
+
+
+def _erfc_tail(x):
+    """Cephes ``erfc`` for ``x ≥ 1`` (ndtr only passes non-negative ``x``)."""
+    out = np.zeros_like(x)
+    z = -x * x
+    live = ~(z < -MAXLOG)  # the rest underflows to 0, as in Cephes
+    for part, num, den in ((live & (x < 8.0), _P, _Q), (live & (x >= 8.0), _R, _S)):
+        if part.any():
+            xs = x[part]
+            e = np.array([math.exp(v) for v in z[part].tolist()])
+            out[part] = e * _polevl(xs, num) / _p1evl(xs, den)
+    return out
+
+
+def ndtr(a):
+    """Standard normal cdf ``Φ(a)``, bit for bit ``scipy.special.ndtr``.
+
+    Scalar or 0-d input gives an ``np.float64``; arrays keep their shape.
+    """
+    x0 = np.asarray(a, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x0.ravel() * SQRT1_2
+        z = np.abs(x)
+        y = np.full_like(x, np.nan)
+        # Cephes: 0.5 + 0.5·erf(x) for z < √½, else 0.5·erfc(z) mirrored
+        # for x > 0, where erfc(z) is 1 − erf(z) below 1. Both erf
+        # branches share one evaluation at z: erf(x) differs only in sign.
+        low = z < 1.0
+        if low.any():
+            xl, zl = x[low], z[low]
+            erf = _erf_ratio(zl)
+            half = 0.5 * (1.0 - erf)
+            y[low] = np.where(
+                zl < SQRT1_2,
+                0.5 + 0.5 * np.copysign(erf, xl),
+                np.where(xl > 0, 1.0 - half, half),
+            )
+        high = z >= 1.0
+        if high.any():
+            half = 0.5 * _erfc_tail(z[high])
+            y[high] = np.where(x[high] > 0, 1.0 - half, half)
+    if x0.ndim == 0:
+        return np.float64(y[0])
+    return y.reshape(x0.shape)
+
+
+def _ndtri(y0: float) -> float:
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    if y0 < 0.0 or y0 > 1.0:
+        return math.nan
+    # NaN falls through, as in Cephes, and leaves negated
+    negate = True
+    y = y0
+    if y > 1.0 - EXP_M2:
+        y = 1.0 - y
+        negate = False
+    if y > EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))
+        return x * SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:  # y > exp(-32)
+        x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _p1evl(z, _Q2)
+    x = x0 - x1
+    return -x if negate else x
+
+
+def ndtri(y):
+    """Inverse standard normal cdf ``Φ⁻¹(y)``, bit for bit ``scipy.special.ndtri``.
+
+    ``ndtri(0) = -inf``, ``ndtri(1) = inf``; ``y`` outside ``[0, 1]`` or
+    NaN gives NaN. Scalar or 0-d input gives an ``np.float64``; arrays
+    keep their shape.
+    """
+    arr = np.asarray(y, dtype=np.float64)
+    if arr.ndim == 0:
+        return np.float64(_ndtri(float(arr)))
+    return np.array([_ndtri(v) for v in arr.ravel().tolist()]).reshape(arr.shape)

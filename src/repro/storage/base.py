@@ -34,8 +34,10 @@ from __future__ import annotations
 import abc
 import json
 import logging
+import os
+import pathlib
 import zlib
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Union
 
 from ..exceptions import CheckpointCorruptError, StorageError
 from ..telemetry import MetricsRegistry, emit, event_logger
@@ -88,6 +90,23 @@ def decode_document(blob: bytes, source: str) -> Dict[str, Any]:
 def document_crc(blob: bytes) -> int:
     """CRC-32 of an encoded document (the stores' integrity seal)."""
     return zlib.crc32(blob) & 0xFFFFFFFF
+
+
+def fsync_path(path: Union[str, pathlib.Path], flags: int) -> None:
+    """Flush ``path`` (a file, or a directory with ``O_DIRECTORY``) to disk."""
+    fd = os.open(path, flags)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def fsync_directory(path: Union[str, pathlib.Path]) -> None:
+    """Make the entries of directory ``path`` durable: files created,
+    renamed or removed in it survive power loss once this returns. A
+    no-op where the platform cannot open a directory."""
+    if hasattr(os, "O_DIRECTORY"):
+        fsync_path(path, os.O_RDONLY | os.O_DIRECTORY)
 
 
 class CheckpointStore(abc.ABC):

@@ -25,16 +25,13 @@ import pathlib
 from typing import Any, Dict, Mapping, Optional, Union
 
 from ..exceptions import StorageError
-from .base import CheckpointStore, decode_document, encode_document
-
-
-def _fsync(path: Union[str, pathlib.Path], flags: int) -> None:
-    """Flush ``path`` (a file, or a directory with ``O_DIRECTORY``) to disk."""
-    fd = os.open(path, flags)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+from .base import (
+    CheckpointStore,
+    decode_document,
+    encode_document,
+    fsync_directory,
+    fsync_path,
+)
 
 
 class JsonFileStore(CheckpointStore):
@@ -55,7 +52,7 @@ class JsonFileStore(CheckpointStore):
         scratch = self.path.with_name(self.path.name + ".tmp")
         try:
             scratch.write_text(blob.decode("utf-8") + "\n")
-            _fsync(scratch, os.O_RDWR)
+            fsync_path(scratch, os.O_RDWR)
             os.replace(scratch, self.path)
         # repro: allow[broad-except] -- cleanup-and-reraise: the atomic
         # save's scratch file must not survive any failure (including
@@ -64,8 +61,7 @@ class JsonFileStore(CheckpointStore):
             with contextlib.suppress(OSError):
                 scratch.unlink()
             raise
-        if hasattr(os, "O_DIRECTORY"):  # make the rename itself durable
-            _fsync(self.path.parent, os.O_RDONLY | os.O_DIRECTORY)
+        fsync_directory(self.path.parent)  # make the rename itself durable
         self._observe_op("save", started, len(blob))
         return len(blob)
 

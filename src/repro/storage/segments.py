@@ -7,7 +7,13 @@ final record, never a previously durable checkpoint. Segments roll over
 at ``segment_max_bytes`` and the log periodically *compacts*: the newest
 intact checkpoint is rewritten as the sole record of a fresh segment and
 every older segment is deleted, bounding disk usage without ever holding
-fewer than one durable checkpoint.
+fewer than one durable checkpoint. Every record is fsynced before
+``save`` returns, and the directory too whenever a segment file was
+created, so a new segment cannot vanish on power loss after its ack; a
+compaction's segment is made durable the same way before any older one
+is unlinked. A record is never appended behind a torn one, where it
+could not be read back: a segment that does not end on a whole record
+is left as it is and the next save opens a fresh one.
 
 Record framing (little-endian), one record per checkpoint::
 
@@ -34,6 +40,7 @@ from .base import (
     decode_document,
     document_crc,
     encode_document,
+    fsync_directory,
 )
 
 RECORD_MAGIC = b"RSEG"  # repro: allow[wire-constants] -- storage-local
@@ -77,6 +84,10 @@ class SegmentLogStore(CheckpointStore):
         self.segment_max_bytes = int(segment_max_bytes)
         self.compact_every = int(compact_every)
         self._saves_since_compaction = 0
+        # The newest segment once it is known to end on a whole record.
+        # A record appended behind a torn one (a crash mid-append, here
+        # or in an earlier process) could never be read back.
+        self._clean_tail: Optional[pathlib.Path] = None
 
     def _path_for_uri(self) -> str:
         return str(self.directory)
@@ -101,14 +112,23 @@ class SegmentLogStore(CheckpointStore):
     def _segment_path(self, index: int) -> pathlib.Path:
         return self.directory / ("%08d.seg" % index)
 
-    def _writable_segment(self, record_size: int) -> pathlib.Path:
+    def _writable_segment(self, record_size: int) -> Tuple[pathlib.Path, bool]:
+        """The segment the next record goes to, and whether it is new."""
         existing = self.segments()
         if not existing:
-            return self._segment_path(1)
+            return self._segment_path(1), True
         newest = existing[-1]
-        if newest.stat().st_size + record_size > self.segment_max_bytes:
-            return self._segment_path(self._segment_index(newest) + 1)
-        return newest
+        if newest != self._clean_tail:
+            # written by an earlier store, or our last append to it failed
+            _, torn = self._scan_segment(newest, strict=False)
+            if not torn:
+                self._clean_tail = newest
+        if (
+            newest != self._clean_tail
+            or newest.stat().st_size + record_size > self.segment_max_bytes
+        ):
+            return self._segment_path(self._segment_index(newest) + 1), True
+        return newest, False
 
     # --------------------------------------------------------------- verbs
 
@@ -117,12 +137,18 @@ class SegmentLogStore(CheckpointStore):
         record = _pack_record(payload)
         started = self.telemetry.clock()
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            target = self._writable_segment(len(record))
+            if not self.directory.is_dir():
+                self.directory.mkdir(parents=True)
+                fsync_directory(self.directory.parent)
+            target, created = self._writable_segment(len(record))
+            self._clean_tail = None  # until the whole record is down
             with open(target, "ab") as handle:
                 handle.write(record)
                 handle.flush()
                 os.fsync(handle.fileno())
+            if created:
+                fsync_directory(self.directory)
+            self._clean_tail = target
         except OSError as exc:
             raise StorageError(
                 "segment-log append under %s failed: %s" % (self.directory, exc)
@@ -130,7 +156,8 @@ class SegmentLogStore(CheckpointStore):
         self._observe_op("save", started, len(record))
         self._saves_since_compaction += 1
         if self._saves_since_compaction >= self.compact_every:
-            self.compact()
+            # the record just appended is the newest: no need to re-read it
+            self._compact_to(payload)
         return len(payload)
 
     def _scan_segment(
@@ -225,6 +252,10 @@ class SegmentLogStore(CheckpointStore):
         leaves at worst extra history, never less.
         """
         payload, _ = self._newest_payload(strict=False)
+        self._compact_to(payload)
+
+    def _compact_to(self, payload: Optional[bytes]) -> None:
+        """Make ``payload`` the whole log (see :meth:`compact`)."""
         self._saves_since_compaction = 0
         if payload is None:
             return
@@ -235,6 +266,9 @@ class SegmentLogStore(CheckpointStore):
                 handle.write(_pack_record(payload))
                 handle.flush()
                 os.fsync(handle.fileno())
+            # the new segment must be durable before any old one goes
+            fsync_directory(self.directory)
+            self._clean_tail = target
         except OSError as exc:
             raise StorageError(
                 "segment-log compaction under %s failed: %s"

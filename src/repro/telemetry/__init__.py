@@ -3,11 +3,8 @@
 The observability layer of the collection stack. Two halves:
 
 * :mod:`repro.telemetry.metrics` — a :class:`MetricsRegistry` of named
-  metric families (:class:`Counter`, :class:`Gauge`, :class:`Histogram`
-  with fixed bucket boundaries, and :class:`TimeWeightedGauge`, which
-  integrates value·seconds areas between updates so average queue depth
-  and busy-fraction/utilization are *exact* over the run, not sampled).
-  Label support, an injectable monotonic clock for deterministic tests,
+  metric families (:class:`Counter`, :class:`Gauge` and
+  :class:`Histogram` with fixed bucket boundaries). Label support, an injectable monotonic clock for deterministic tests,
   ``snapshot()`` to a plain dict, and JSON / aligned-text renderers.
 * :mod:`repro.telemetry.events` — a structured JSON event log over
   stdlib :mod:`logging`: one JSON object per line (handshake
@@ -38,7 +35,6 @@ from .metrics import (
     Histogram,
     MetricFamily,
     MetricsRegistry,
-    TimeWeightedGauge,
     counted,
 )
 
@@ -51,7 +47,6 @@ __all__ = [
     "JsonEventFormatter",
     "MetricFamily",
     "MetricsRegistry",
-    "TimeWeightedGauge",
     "counted",
     "disable_json_logs",
     "emit",

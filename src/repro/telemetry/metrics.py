@@ -7,7 +7,7 @@ label values to child instruments through :meth:`MetricFamily.labels`.
 Everything is plain Python over an injectable monotonic clock, so tests
 drive time deterministically and a snapshot is exact, not sampled.
 
-Four instrument types:
+Three instrument types:
 
 * :class:`Counter` — monotonically non-decreasing float (frames
   accepted, bytes received, stall seconds).
@@ -15,11 +15,6 @@ Four instrument types:
 * :class:`Histogram` — fixed bucket boundaries declared up front;
   observations land in the first bucket whose upper bound is >= the
   value, with count/sum/min/max kept exactly (ack latency, fold time).
-* :class:`TimeWeightedGauge` — the event-driven queue-theory instrument:
-  every update integrates ``value * seconds`` since the previous update,
-  so ``mean()`` over the run is the *exact* time-weighted average (mean
-  queue depth), and a 0/1-valued gauge's mean is the exact busy
-  fraction / utilization. No sampling interval, no aliasing.
 
 ``snapshot()`` renders the whole registry to a plain dict (JSON-able as
 is); :meth:`MetricsRegistry.render_json` and
@@ -138,86 +133,6 @@ class Gauge(_Instrument):
         return self._value
 
 
-class TimeWeightedGauge(_Instrument):
-    """Gauge whose history integrates ``value * seconds`` between updates.
-
-    The exact-areas instrument of event-driven stats collectors: on every
-    :meth:`set`/:meth:`add` the current value's area since the previous
-    update is accumulated, so :meth:`mean` is the exact time-weighted
-    average over the observation window regardless of update cadence. A
-    gauge that is 1 while a worker is busy and 0 while idle has
-    ``mean() == busy fraction`` — utilization without a sampler.
-    """
-
-    kind = "time_weighted_gauge"
-
-    def __init__(self, family: "MetricFamily") -> None:
-        super().__init__(family)
-        self._value = 0.0
-        self._area = 0.0
-        self._max = 0.0
-        self._started_at = self._clock()
-        self._updated_at = self._started_at
-
-    def _integrate(self, now: float) -> None:
-        if now > self._updated_at:
-            self._area += self._value * (now - self._updated_at)
-            self._updated_at = now
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._integrate(self._clock())
-            self._value = float(value)
-            if self._value > self._max:
-                self._max = self._value
-
-    def add(self, delta: float) -> None:
-        with self._lock:
-            self._integrate(self._clock())
-            self._value += delta
-            if self._value > self._max:
-                self._max = self._value
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def elapsed(self) -> float:
-        """Seconds since this instrument started observing."""
-        return self._clock() - self._started_at
-
-    def area(self) -> float:
-        """Exact ``value * seconds`` integral up to now."""
-        with self._lock:
-            self._integrate(self._clock())
-            return self._area
-
-    def mean(self) -> float:
-        """Exact time-weighted average value over the whole window."""
-        with self._lock:
-            now = self._clock()
-            self._integrate(now)
-            window = now - self._started_at
-            if window <= 0:
-                return 0.0
-            return self._area / window
-
-    def snapshot_value(self) -> Dict[str, float]:
-        with self._lock:
-            now = self._clock()
-            self._integrate(now)
-            window = now - self._started_at
-            return {
-                "value": self._value,
-                "max": self._max,
-                "area": self._area,
-                "elapsed_seconds": window,
-                "time_weighted_mean": (
-                    self._area / window if window > 0 else 0.0
-                ),
-            }
-
-
 class Histogram(_Instrument):
     """Fixed-boundary histogram with exact count/sum/min/max.
 
@@ -302,7 +217,6 @@ _INSTRUMENTS = {
     "counter": Counter,
     "gauge": Gauge,
     "histogram": Histogram,
-    "time_weighted_gauge": TimeWeightedGauge,
 }
 
 
@@ -364,9 +278,6 @@ class MetricFamily:
     def set(self, value: float) -> None:
         self._default_child().set(value)
 
-    def add(self, delta: float) -> None:
-        self._default_child().add(delta)
-
     def observe(self, value: float) -> None:
         self._default_child().observe(value)
 
@@ -379,9 +290,6 @@ class MetricFamily:
 
     def mean(self) -> float:
         return self._default_child().mean()
-
-    def area(self) -> float:
-        return self._default_child().area()
 
     @property
     def count(self) -> int:
@@ -434,8 +342,8 @@ class MetricsRegistry:
         """The monotonic clock every instrument in this registry reads.
 
         Instrumented code times its own operations with this same clock,
-        so a test that injects a fake clock controls both the metric
-        areas *and* the measured durations.
+        so a test that injects a fake clock controls both the histogram
+        timers *and* the measured durations.
         """
         return self._clock
 
@@ -506,12 +414,6 @@ class MetricsRegistry:
             raise TelemetryError("a histogram needs at least one bucket bound")
         return self._register(name, "histogram", help, labels, bounds)
 
-    def time_weighted_gauge(
-        self, name: str, help: str = "", labels: Sequence[str] = ()
-    ) -> MetricFamily:
-        """Register (or fetch) a time-weighted gauge family."""
-        return self._register(name, "time_weighted_gauge", help, labels)
-
     # ------------------------------------------------------------ snapshot
 
     def get(self, name: str) -> Optional[MetricFamily]:
@@ -546,12 +448,6 @@ class MetricsRegistry:
                         value["sum"],
                         value["mean"],
                     )
-                elif family.kind == "time_weighted_gauge":
-                    rendered = "value=%.6g mean=%.6g max=%.6g" % (
-                        value["value"],
-                        value["time_weighted_mean"],
-                        value["max"],
-                    )
                 else:
                     rendered = "%.6g" % value
                 rows.append((series, family.kind, rendered))
@@ -575,6 +471,5 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
-    "TimeWeightedGauge",
     "counted",
 ]

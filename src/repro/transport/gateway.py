@@ -431,7 +431,7 @@ class CollectionGateway(StreamServer):
         :func:`~repro.transport.request_stats`) and what the CLI's
         ``--metrics PATH`` writes on exit. ``counters`` are integer
         reads of the registry's counts; ``metrics`` is the registry
-        snapshot (histograms, time-weighted gauges, labelled families)
+        snapshot (histograms, gauges, labelled families)
         and ``rejections_total`` sums frame and handshake rejections so
         a clean round is a single zero check.
         """

@@ -1,22 +1,29 @@
 """Bit-identity of the deviation models' Gaussian primitives.
 
-The framework evaluates the standard normal cdf and its inverse with
-``scipy.special.ndtr``/``ndtri`` instead of ``scipy.stats.norm``. These
-properties pin, on whichever scipy is installed, that every public
-quantity built on them has exactly the bits the ``scipy.stats.norm``
-formulas give, at the extremes too (±inf and NaN deviations, subnormal
-and huge scales, confidences next to 0 and 1).
+The framework evaluates the standard normal cdf and its inverse with its
+own Cephes port, :func:`repro.framework.normal.ndtr`/``ndtri``, instead
+of scipy. These properties pin, on whichever scipy is installed, that
+the port gives exactly the bits of ``scipy.special.ndtr``/``ndtri`` at
+every branch edge, and that every public quantity built on it has the
+bits the ``scipy.stats.norm`` formulas give, at the extremes too (±inf
+and NaN deviations, subnormal and huge scales, confidences next to 0 and
+1). The port takes ``exp``/``log`` from the platform libm through
+:mod:`math`, so these tests are also the check that it is the libm
+scipy's compiled Cephes code calls.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from repro.framework import DeviationModel, MultivariateDeviationModel
 from repro.framework.deviation import envelope_quantile
 from repro.framework.multivariate import _product
+from repro.framework.normal import MAXLOG, ndtr, ndtri
 
 INF = float("inf")
 NAN = float("nan")
@@ -51,6 +58,98 @@ def _assert_same(ours, reference):
     assert type(ours) is type(reference)
     assert np.shape(ours) == np.shape(reference)
     assert _hexes(ours) == _hexes(reference)
+
+
+def _around(edge, steps=3):
+    """``edge`` and its ``steps`` float neighbours on either side."""
+    values = [edge]
+    down = up = edge
+    for _ in range(steps):
+        down = math.nextafter(down, -math.inf)
+        up = math.nextafter(up, math.inf)
+        values += [down, up]
+    return values
+
+
+SQRT2 = math.sqrt(2.0)
+#: ndtr's branch edges in ``a``: ``|a/√2| = √½`` (erf/erfc), erfc's
+#: ``x = 1`` and ``x = 8``, and the ``x² = MAXLOG`` underflow cut.
+NDTR_EDGES = [
+    value
+    for edge in (1.0, SQRT2, 8.0 * SQRT2, math.sqrt(MAXLOG) * SQRT2)
+    for value in _around(edge)
+]
+#: ndtri's branch edges in ``y``: the central interval ``[e⁻², 1 − e⁻²]``
+#: and ``z = √(−2 log y) = 8`` at ``y = e⁻³²``.
+NDTRI_EDGES = [
+    value
+    for edge in (math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0))
+    for value in _around(edge)
+]
+
+ndtr_args = st.one_of(
+    st.sampled_from(
+        NDTR_EDGES
+        + [-a for a in NDTR_EDGES]
+        + [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, INF, -INF, NAN]
+    ),
+    st.floats(min_value=-40.0, max_value=40.0),
+    st.floats(),
+)
+ndtri_args = st.one_of(
+    st.sampled_from(
+        NDTRI_EDGES
+        + [0.0, -0.0, 1.0, 5e-324, 0.5, 1 - 2**-53, -1e-300, 1 + 2**-52, -INF, INF, NAN]
+    ),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1e-14),
+    st.floats(),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ndtr_args, st.lists(ndtr_args, min_size=1, max_size=12))
+@example(1.0, [-1.0, SQRT2, -SQRT2, 8.0 * SQRT2, -8.0 * SQRT2])
+@example(37.7, [37.67, 37.68, -37.68, 37.69, 38.0, -38.0])
+@example(math.sqrt(MAXLOG) * SQRT2, [-math.sqrt(MAXLOG) * SQRT2])
+@example(NAN, [INF, -INF, NAN, 0.0, -0.0, 5e-324])
+def test_ndtr_matches_scipy_special(a, values):
+    with np.errstate(all="ignore"):
+        _assert_same(ndtr(a), special.ndtr(a))
+        _assert_same(ndtr(np.float64(a)), special.ndtr(np.float64(a)))
+        _assert_same(ndtr(np.array(a)), special.ndtr(np.array(a)))
+        grid = np.array(values)
+        _assert_same(ndtr(grid), special.ndtr(grid))
+        _assert_same(ndtr(values), special.ndtr(values))
+        block = np.resize(grid, (3, len(values)))
+        _assert_same(ndtr(block), special.ndtr(block))
+
+
+@settings(max_examples=500, deadline=None)
+@given(ndtri_args)
+@example(math.exp(-2.0))
+@example(1.0 - math.exp(-2.0))
+@example(math.exp(-32.0))
+@example(0.0)
+@example(1.0)
+@example(-0.25)
+@example(1.5)
+@example(NAN)
+def test_ndtri_matches_scipy_special(y):
+    _assert_same(ndtri(y), special.ndtri(y))
+    _assert_same(ndtri(np.float64(y)), special.ndtri(np.float64(y)))
+    _assert_same(ndtri(np.array(y)), special.ndtri(np.array(y)))
+    grid = np.array([y, 1.0 - y, y / 2.0])
+    _assert_same(ndtri(grid), special.ndtri(grid))
+
+
+def test_ndtri_boundaries():
+    assert ndtri(0.0) == -INF and ndtri(-0.0) == -INF
+    assert ndtri(1.0) == INF
+    for y in (-1e-300, 1.0 + 2**-52, -INF, INF, NAN):
+        assert np.isnan(ndtri(y))
+    assert np.isnan(ndtr(NAN))
+    assert ndtr(INF) == 1.0 and ndtr(-INF) == 0.0
 
 
 def _model(delta, sigma):

@@ -1,10 +1,13 @@
-"""The collection runtime never loads ``scipy.stats``.
+"""The collection runtime never imports scipy.
 
-The deviation models need only the standard normal cdf and its inverse
-(``scipy.special``), and ``scipy.stats`` is most of what a fresh
-``import repro`` would otherwise cost in memory and start-up time. The
-guard runs a whole round in a fresh interpreter, because this test
-process has long since imported ``scipy.stats`` for other tests.
+The deviation models need only the standard normal cdf and its inverse,
+which :mod:`repro.framework.normal` ports from Cephes, and scipy is most
+of what a fresh ``import repro`` would otherwise cost in memory and
+start-up time. The guard runs a whole round in a fresh interpreter with
+``scipy`` blocked in ``sys.modules``, so any scipy import raises,
+because this test process has long since imported scipy for other
+tests. Only the KS diagnostic still needs ``scipy.stats``; it loads it
+on its first call, in an interpreter of its own.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ SOURCE_ROOT = str(Path(repro.__file__).resolve().parents[1])
 ROUND = r"""
 import json
 import sys
+
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
 
 import numpy as np
 
@@ -56,35 +61,56 @@ out = {
     "enhanced": bool(np.all(np.isfinite(estimate["x"].enhanced))),
     "box": model.box_probability(0.1),
     "envelope": float(model.envelopes(0.99)[0]),
-    "stats_modules": sorted(m for m in sys.modules if m.startswith("scipy.stats")),
+    "scipy_modules": sorted(
+        name for name, module in sys.modules.items()
+        if name.split(".")[0] == "scipy" and module is not None
+    ),
 }
+print(json.dumps(out))
+"""
+
+KS_FIT = r"""
+import json
+import sys
+
+import numpy as np
 
 from repro.analysis.density import gaussian_fit
+from repro.framework import DeviationModel
 
-dimension = model.dimensions[0]
-fit = gaussian_fit(dimension.sample(400, rng), dimension)
+out = {"stats_before_fit": "scipy.stats" in sys.modules}
+model = DeviationModel(delta=0.0, sigma=0.1, reports=100, epsilon=1.0)
+fit = gaussian_fit(model.sample(400, np.random.default_rng(7)), model)
 out["ks_pvalue"] = fit.ks_pvalue
 out["stats_after_fit"] = "scipy.stats" in sys.modules
 print(json.dumps(out))
 """
 
 
-def test_round_runs_without_scipy_stats():
+def _run_fresh(source):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SOURCE_ROOT, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", ROUND],
+        [sys.executable, "-c", source],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
         check=True,
     )
-    out = json.loads(done.stdout.strip().splitlines()[-1])
-    assert out["stats_modules"] == []
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_round_runs_without_scipy_stats():
+    out = _run_fresh(ROUND)
+    assert out["scipy_modules"] == []
     assert out["enhanced"]
     assert 0.0 < out["box"] <= 1.0
     assert out["envelope"] > 0.0
-    # the KS diagnostic still works: it loads scipy.stats on first call
+
+
+def test_ks_diagnostic_loads_scipy_stats_on_first_call():
+    out = _run_fresh(KS_FIT)
+    assert not out["stats_before_fit"]
     assert out["stats_after_fit"]
     assert 0.0 <= out["ks_pvalue"] <= 1.0

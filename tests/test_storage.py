@@ -12,6 +12,8 @@ door and the document codec.
 from __future__ import annotations
 
 import os
+import pathlib
+import stat
 
 import pytest
 
@@ -134,6 +136,35 @@ class TestCorruptionMatrix:
             store.load()
         assert store.recover() == {"round": 2}
 
+    def test_segments_save_after_torn_tail_is_recoverable(self, tmp_path):
+        """A restarted store never appends behind a torn record, where
+        its acknowledged saves could not be read back."""
+        directory = tmp_path / "log"
+        store = SegmentLogStore(directory)
+        store.save({"round": 1})
+        store.save({"round": 2})
+        with open(store.segments()[-1], "ab") as handle:
+            handle.write(RECORD_MAGIC + b"\x40")
+        restarted = SegmentLogStore(directory)
+        assert restarted.recover() == {"round": 2}
+        restarted.save({"round": 3})
+        assert restarted.recover() == {"round": 3}
+        restarted.save({"round": 4})  # appends to the segment it opened
+        assert [p.name for p in restarted.segments()] == [
+            "00000001.seg", "00000002.seg"
+        ]
+        assert restarted.recover() == {"round": 4}
+        restarted.compact()
+        assert restarted.load() == {"round": 4}
+
+    def test_segments_restart_over_intact_log_appends(self, tmp_path):
+        directory = tmp_path / "log"
+        SegmentLogStore(directory).save({"round": 1})
+        restarted = SegmentLogStore(directory)
+        restarted.save({"round": 2})
+        assert [p.name for p in restarted.segments()] == ["00000001.seg"]
+        assert restarted.load() == {"round": 2}
+
     def test_segments_corrupt_crc_recovers_previous(self, tmp_path):
         store = SegmentLogStore(tmp_path / "log")
         store.save({"round": 1})
@@ -203,6 +234,107 @@ class TestSegmentLog:
             SegmentLogStore(tmp_path / "log", segment_max_bytes=0)
         with pytest.raises(StorageError):
             SegmentLogStore(tmp_path / "log", compact_every=0)
+
+
+def _record_durability_events(monkeypatch, directory):
+    """Log every ``os.fsync`` (by file name, or "dir" for ``directory``)
+    and every ``Path.unlink`` (by file name), in call order."""
+    events = []
+    real_fsync, real_unlink = os.fsync, pathlib.Path.unlink
+
+    def fsync(fd):
+        synced = os.fstat(fd)
+        if stat.S_ISDIR(synced.st_mode):
+            if os.path.samestat(synced, os.stat(directory.parent)):
+                events.append("fsync parent")
+            else:
+                assert os.path.samestat(synced, os.stat(directory))
+                events.append("fsync dir")
+        else:
+            names = [
+                path.name for path in directory.iterdir()
+                if os.path.samestat(synced, os.stat(path))
+            ]
+            events.append("fsync %s" % names[0])
+        real_fsync(fd)
+
+    def unlink(path, *args, **kwargs):
+        events.append("unlink %s" % path.name)
+        real_unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(pathlib.Path, "unlink", unlink)
+    return events
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "O_DIRECTORY"), reason="no directory fsync on this platform"
+)
+class TestSegmentLogDurability:
+    """``save`` is durable on return (ack ⇒ durable): a segment file it
+    creates reaches the directory too, and a compaction's new segment is
+    durable before any stale segment is unlinked."""
+
+    def test_new_segment_syncs_the_directory(self, tmp_path, monkeypatch):
+        directory = tmp_path / "log"
+        store = SegmentLogStore(directory, segment_max_bytes=64, compact_every=1000)
+        events = _record_durability_events(monkeypatch, directory)
+        store.save({"round": 1})  # creates the log directory too
+        assert events == ["fsync parent", "fsync 00000001.seg", "fsync dir"]
+        del events[:]
+        store.save({"r": 2})  # still fits: an append to an existing file
+        assert events == ["fsync 00000001.seg"]
+        del events[:]
+        store.save({"round": 3, "pad": "x" * 64})  # rolls to a new segment
+        assert events == ["fsync 00000002.seg", "fsync dir"]
+        assert store.load()["round"] == 3
+
+    def test_compaction_syncs_the_directory_before_unlinking(
+        self, tmp_path, monkeypatch
+    ):
+        directory = tmp_path / "log"
+        store = SegmentLogStore(directory, segment_max_bytes=64, compact_every=1000)
+        for n in range(3):
+            store.save({"round": n, "pad": "x" * 40})
+        assert [p.name for p in store.segments()] == [
+            "00000001.seg", "00000002.seg", "00000003.seg"
+        ]
+        events = _record_durability_events(monkeypatch, directory)
+        store.compact()
+        assert events == [
+            "fsync 00000004.seg",
+            "fsync dir",
+            "unlink 00000001.seg",
+            "unlink 00000002.seg",
+            "unlink 00000003.seg",
+        ]
+        assert store.load() == {"round": 2, "pad": "x" * 40}
+
+    def test_save_compacts_from_the_record_it_appended(
+        self, tmp_path, monkeypatch
+    ):
+        """A save-triggered compaction reuses the payload it just wrote
+        instead of re-reading and CRC-scanning the whole log."""
+        directory = tmp_path / "log"
+        store = SegmentLogStore(directory, compact_every=3)
+        store.save({"round": 1})
+        store.save({"round": 2})
+        events = _record_durability_events(monkeypatch, directory)
+
+        def no_rescan(*args, **kwargs):
+            raise AssertionError("save re-read the log to compact it")
+
+        monkeypatch.setattr(SegmentLogStore, "_scan_segment", no_rescan)
+        store.save({"round": 3})
+        assert events == [
+            "fsync 00000001.seg",
+            "fsync 00000002.seg",
+            "fsync dir",
+            "unlink 00000001.seg",
+        ]
+        monkeypatch.undo()
+        assert [p.name for p in store.segments()] == ["00000002.seg"]
+        assert store.load() == {"round": 3}
 
 
 class TestJsonFileAtomicity:

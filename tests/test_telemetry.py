@@ -2,10 +2,9 @@
 
 Three layers under test:
 
-* the dependency-free metrics registry — counters, gauges, fixed-bucket
-  histograms and the exact-area :class:`TimeWeightedGauge`, all over an
-  injectable monotonic clock so every assertion here is on *exact*
-  numbers, not tolerances;
+* the dependency-free metrics registry — counters, gauges and
+  fixed-bucket histograms, over an injectable monotonic clock so every
+  assertion here is on *exact* numbers, not tolerances;
 * the structured JSON event log over stdlib logging;
 * the instrumented collection stack — a socket round's snapshot must be
   internally consistent (accepted == folded == acked) and the live
@@ -175,54 +174,6 @@ class TestRegistry:
         assert registry.get("y_total") is None
 
 
-class TestTimeWeightedGauge:
-    def test_mean_is_the_exact_area_over_the_window(self):
-        clock = FakeClock()
-        registry = MetricsRegistry(clock=clock)
-        depth = registry.time_weighted_gauge("queue_depth")
-        depth.set(2)  # t=0
-        clock.advance(10)
-        depth.set(5)  # area += 2*10
-        clock.advance(10)
-        # area = 2*10 + 5*10 = 70 over a 20s window
-        assert depth.area() == 70.0
-        assert depth.mean() == 3.5
-        shot = registry.snapshot()["queue_depth"]["values"][""]
-        assert shot == {
-            "value": 5.0,
-            "max": 5.0,
-            "area": 70.0,
-            "elapsed_seconds": 20.0,
-            "time_weighted_mean": 3.5,
-        }
-
-    def test_zero_one_gauge_mean_is_utilization(self):
-        clock = FakeClock()
-        registry = MetricsRegistry(clock=clock)
-        busy = registry.time_weighted_gauge("busy")
-        busy.set(1)
-        clock.advance(3)  # busy for 3s
-        busy.set(0)
-        clock.advance(1)  # idle for 1s
-        assert busy.mean() == pytest.approx(0.75)
-
-    def test_add_tracks_running_value_and_max(self):
-        clock = FakeClock()
-        registry = MetricsRegistry(clock=clock)
-        depth = registry.time_weighted_gauge("depth")
-        depth.add(3)
-        clock.advance(2)
-        depth.add(-1)
-        assert depth.value == 2.0
-        shot = registry.snapshot()["depth"]["values"][""]
-        assert shot["max"] == 3.0
-        assert shot["area"] == 6.0
-
-    def test_empty_window_mean_is_zero(self):
-        registry = MetricsRegistry(clock=FakeClock())
-        assert registry.time_weighted_gauge("g").mean() == 0.0
-
-
 class TestHistogram:
     def test_observation_lands_in_first_covering_bucket(self):
         registry = MetricsRegistry()
@@ -267,17 +218,14 @@ class TestHistogram:
 
 class TestRenderers:
     def _registry(self):
-        clock = FakeClock()
-        registry = MetricsRegistry(clock=clock)
+        registry = MetricsRegistry(clock=FakeClock())
         registry.counter("frames_total", "Frames").inc(7)
         rejected = registry.counter("rejects_total", labels=("reason",))
         rejected.labels(reason="wire").inc()
         hist = registry.histogram("fold_seconds", buckets=(0.1, 1.0))
         hist.observe(0.05)
         hist.observe(0.15)
-        depth = registry.time_weighted_gauge("queue_depth")
-        depth.set(4)
-        clock.advance(2)
+        registry.gauge("connections_open").set(4)
         return registry
 
     def test_render_json_round_trips(self):
@@ -295,7 +243,9 @@ class TestRenderers:
         assert "rejects_total{reason=wire}" in by_name
         assert "count=2" in by_name["fold_seconds"]
         assert "mean=0.1" in by_name["fold_seconds"]
-        assert "value=4" in by_name["queue_depth"]
+        assert by_name["connections_open"].split() == [
+            "connections_open", "gauge", "4"
+        ]
         # aligned columns: every kind starts at the same offset
         offsets = {line.index(line.split()[1]) for line in lines}
         assert len(offsets) == 1
