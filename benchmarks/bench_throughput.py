@@ -35,10 +35,9 @@ honest. Two families:
   push the workload's full cumulative state to a
   :class:`~repro.federation.RootAggregator` over localhost TCP
   (handshake, CRC-sealed encode, root-side validate + fold, merged
-  estimate). States/second, upstream MB/second, and the bytes of a
-  steady-state *delta* push (one batch of growth) next to the full
-  snapshot land under ``"federation"``, sizing how often
-  ``--push-every`` can fire before the push hop dominates the round.
+  estimate). States/second, upstream MB/second and the bytes of one
+  push land under ``"federation"``, sizing how often ``--push-every``
+  can fire before the push hop dominates the round.
 
 The socket bench also runs one *instrumented* round and records the
 gateway's telemetry snapshot (counters, ack and fold latency means)
@@ -396,21 +395,10 @@ def test_federation_push_throughput(benchmark, results_dir):
     server = ShardedServer(
         schema, EPSILON, protocols={"category": "oue"}, shards=SOCKET_SHARDS
     )
-    for batch in batches[:-1]:
+    for batch in batches:
         server.ingest_encoded(client.encode(batch))
-    base_state = server.state
-    server.ingest_encoded(client.encode(batches[-1]))
     state = server.state_dict()
     push_bytes = len(encode_state_push(state))
-    # What a steady-state edge ships instead of the full snapshot: the
-    # exact accumulator delta covering just the final batch.
-    delta_bytes = len(
-        encode_state_push(
-            server.state.delta(base_state).to_document(),
-            kind="delta",
-            base_epoch=1,
-        )
-    )
 
     def federated_round():
         async def run():
@@ -452,7 +440,6 @@ def test_federation_push_throughput(benchmark, results_dir):
         {
             "edges": FEDERATION_EDGES,
             "push_bytes": push_bytes,
-            "delta_push_bytes": delta_bytes,
             "seconds_mean": seconds,
             "states_per_second": states_per_second,
             "upstream_mb_per_second": (

@@ -78,7 +78,6 @@ from .exceptions import (
     ParameterError,
     PrivacyBudgetError,
     ReproError,
-    StateDeltaError,
     StorageError,
     TelemetryError,
     TransportError,
@@ -228,7 +227,6 @@ __all__ = [
     "ShardedServer",
     "SquareWaveMechanism",
     "StaircaseMechanism",
-    "StateDeltaError",
     "StorageError",
     "TelemetryError",
     "TransportError",

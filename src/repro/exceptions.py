@@ -112,17 +112,6 @@ class TelemetryError(ReproError, ValueError):
     """
 
 
-class StateDeltaError(ReproError, ValueError):
-    """Raised when no trustworthy delta exists between two states.
-
-    :meth:`~repro.session.SessionState.delta` raises this when the
-    earlier state is provably not a prefix of the newer one —
-    mismatched contracts or a monotone counter (users, rows, oracle
-    counts) that went down. Callers treat it as "ship a full snapshot
-    instead", never as corruption (that is :class:`WireFormatError`).
-    """
-
-
 class TransportError(ReproError, RuntimeError):
     """Raised when the socket transport itself fails.
 

@@ -9,12 +9,9 @@ accepted frames into their own shards, and periodically push merged
 :meth:`~repro.session.LDPServer.state_dict` state upstream to a single
 :class:`RootAggregator` over the existing framed socket protocol (a
 ``STATE`` hello instead of a report hello, one CRC-sealed push per
-epoch) — as the exact accumulator *delta* since the last acknowledged
-epoch when the root provably holds that base, and as the full cumulative
-snapshot otherwise. The root installs either kind as the edge's newest
-cumulative state (deltas are added to the stored record through the
-exact merge) and merges across edges with the big-integer accumulation, so the
-federated estimate is **bit-identical** to one-shot ingestion of every
+epoch), each push the edge's full cumulative snapshot. The root keeps
+each edge's newest snapshot and merges across edges with the
+big-integer accumulation, so the federated estimate is **bit-identical** to one-shot ingestion of every
 client's reports — for any edge count, any client-to-edge assignment,
 any push cadence, and across edge or root crash-restarts (both tiers
 resume from :mod:`repro.storage` checkpoints; the root acks a push only
@@ -50,7 +47,6 @@ from .pusher import EDGE_ID_SIZE, StatePusher
 from .root import RootAggregator, serve_root
 from .state_push import (
     PUSH_FORMAT,
-    PUSH_KIND_DELTA,
     PUSH_KIND_SNAPSHOT,
     PUSH_VERSION,
     SUPPORTED_PUSH_VERSIONS,
@@ -64,7 +60,6 @@ __all__ = [
     "FEDERATION_FORMAT",
     "FEDERATION_VERSION",
     "PUSH_FORMAT",
-    "PUSH_KIND_DELTA",
     "PUSH_KIND_SNAPSHOT",
     "PUSH_VERSION",
     "SUPPORTED_PUSH_VERSIONS",

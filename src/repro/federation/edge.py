@@ -9,15 +9,11 @@ and folds accepted frames into its own
 accepted frames, every ``T`` seconds, or both) it cuts a cumulative
 :meth:`~repro.session.LDPServer.state_dict` snapshot and pushes it
 upstream to a :class:`~repro.federation.RootAggregator` through a
-:class:`~repro.federation.StatePusher` — as the accumulator *delta*
-since the last acknowledged push whenever the root provably holds that
-base (same connection, matching watermark), and as the full snapshot
-otherwise (first push, reconnects, restarts, refused deltas).
+:class:`~repro.federation.StatePusher`.
 
 Nothing is ever lost between the tiers. Locally the gateway's own
-durable checkpoints cover acknowledged frames; upstream every push —
-snapshot or delta applied to the root's stored state — leaves the root
-holding the edge's full cumulative state, so a push that never arrived
+durable checkpoints cover acknowledged frames; upstream every push
+carries the edge's full cumulative state, so a push that never arrived
 is subsumed by the next one, and an edge that crashed resumes from its
 checkpoint and re-ships everything it durably held under the same edge
 id. The root's epoch watermark dedups whatever overlaps. The federated
@@ -31,23 +27,16 @@ import asyncio
 import logging
 from typing import Any, Dict, Optional, Tuple
 
-from ..exceptions import (
-    StateDeltaError,
-    TransportError,
-    WireFormatError,
-    positive_count,
-    positive_seconds,
-)
+from ..exceptions import TransportError, positive_count, positive_seconds
 from ..session.client import ProtocolSpec
 from ..session.schema import Schema
 from ..session.server import Postprocessor, SessionEstimate
 from ..session.sharded import ShardedServer
-from ..session.state import SessionState
 from ..storage import CheckpointStore
 from ..telemetry import MetricsRegistry, counted, emit, event_logger
 from ..transport.framing import DEFAULT_MAX_FRAME_BYTES
 from ..transport.gateway import CollectionGateway
-from ..transport.stream import RETRYABLE, _as_sender_id, retry_connect
+from ..transport.stream import _as_sender_id, retry_connect
 from ..wire.contract import CollectionContract
 from .pusher import StatePusher
 
@@ -143,11 +132,6 @@ class EdgeAggregator:
         self._loop_task: Optional[asyncio.Task] = None
         self._stopping = False
         self._frames_since_push = 0
-        #: State and epoch of the last push the root acknowledged — the
-        #: base the next delta push builds on. ``None`` forces a full
-        #: snapshot (first push, failed delta, edge restart).
-        self._base_state: Optional[SessionState] = None
-        self._base_epoch = 0
         self.last_epoch = 0
         self.last_push_error: Optional[Exception] = None
         self._log = event_logger("edge")
@@ -159,10 +143,6 @@ class EdgeAggregator:
         self._m_push_retries = registry.counter(
             "edge_push_retries_total",
             "Push attempts that failed with a transport error",
-        )
-        self._m_delta_pushes = registry.counter(
-            "edge_delta_pushes_total",
-            "Acknowledged pushes shipped as deltas instead of snapshots",
         )
         self._m_last_epoch = registry.gauge(
             "edge_last_epoch",
@@ -193,8 +173,6 @@ class EdgeAggregator:
 
     #: Upstream pushes acknowledged by the root.
     pushes_completed = counted("_m_pushes")
-    #: Acknowledged pushes shipped as deltas instead of snapshots.
-    delta_pushes = counted("_m_delta_pushes")
     #: Push attempts that failed with a transport error.
     push_retries = counted("_m_push_retries")
 
@@ -346,20 +324,11 @@ class EdgeAggregator:
         ack, so the snapshot covers every frame acknowledged before the
         call.
 
-        Whenever the connection's acknowledged epoch matches this edge's
-        recorded base — i.e. the root provably holds the exact state the
-        last ack covered — only the accumulator *delta* since that base
-        goes on the wire; otherwise (first push, reconnect onto a
-        different watermark, restart) the full snapshot ships. Either
-        way the root ends up holding the same cumulative state, so the
-        choice is invisible to correctness.
-
         Transport failures are retried up to ``push_attempts`` times
         with a fresh connection (and a re-learned epoch watermark) each
-        time; a refused *delta* costs one retry and falls back to a full
-        snapshot; other typed rejections — contract mismatch, malformed
-        push — propagate immediately, because the root will refuse them
-        again. A gateway whose fold failed raises its
+        time; typed rejections — contract mismatch, malformed push —
+        propagate immediately, because the root will refuse them again.
+        A gateway whose fold failed raises its
         :class:`~repro.exceptions.TransportError` before any state is cut.
         """
         async with self._push_lock:
@@ -367,7 +336,6 @@ class EdgeAggregator:
             # pushing it would let the root serve a partial aggregate.
             self.gateway._check_folds()
             frames = self.gateway.frames_accepted
-            state = self.server.state
             counters = {
                 "frames_accepted": self.gateway.frames_accepted,
                 "frames_rejected": self.gateway.frames_rejected,
@@ -376,51 +344,21 @@ class EdgeAggregator:
                 "bytes_received": self.gateway.bytes_received,
                 "users_accepted": self.gateway.users_accepted,
             }
-            as_delta = False
+            document = self.server.state.to_document()
 
             async def attempt_push() -> int:
-                nonlocal as_delta
-                as_delta = False
                 pusher = await self._ensure_pusher()
-                if (
-                    self._base_state is not None
-                    and pusher.acked_epoch == self._base_epoch
-                ):
-                    try:
-                        delta = state.delta(self._base_state)
-                    except StateDeltaError:
-                        # Not a prefix pair (e.g. the local server was
-                        # reset mid-round): ship it all.
-                        self._base_state = None
-                    else:
-                        as_delta = True
-                        return await pusher.push(
-                            delta.to_document(),
-                            counters,
-                            kind="delta",
-                            base_epoch=self._base_epoch,
-                        )
-                return await pusher.push(state.to_document(), counters)
+                return await pusher.push(document, counters)
 
             async def failed(attempt: int, exc: BaseException) -> None:
-                refused = isinstance(exc, WireFormatError)
-                if refused:
-                    if not as_delta:
-                        raise exc
-                    # The root refused the delta (base mismatch after an
-                    # ack raced a crash, say). Forget the base so the
-                    # next attempt ships the authoritative full snapshot.
-                    self._base_state = None
-                    self._base_epoch = 0
                 self._m_push_retries.inc()
-                extra = {} if refused else {"attempts": self.push_attempts}
                 emit(
                     self._log,
-                    "delta_refused" if refused else "push_retry",
+                    "push_retry",
                     level=logging.WARNING,
                     edge_id=self.edge_id.hex(),
                     attempt=attempt,
-                    **extra,
+                    attempts=self.push_attempts,
                     error=str(exc),
                 )
                 await self._close_pusher()
@@ -431,12 +369,7 @@ class EdgeAggregator:
                 self.push_retry_delay,
                 "state not pushed",
                 failed,
-                (*RETRYABLE, WireFormatError),
             )
-            if as_delta:
-                self._m_delta_pushes.inc()
-            self._base_state = state
-            self._base_epoch = epoch
             self.last_epoch = epoch
             self.last_push_error = None
             self._frames_since_push = max(
@@ -481,7 +414,9 @@ class EdgeAggregator:
         snapshot["federation"] = {
             "edge_id": self.edge_id.hex(),
             "pushes_completed": self.pushes_completed,
-            "delta_pushes": self.delta_pushes,
+            # Every push is a snapshot: 0, kept for perfbench's
+            # ``federation.delta_ratio`` layer, which reads it.
+            "delta_pushes": 0,
             "push_retries": self.push_retries,
             "last_epoch": self.last_epoch,
             "unpushed_frames": self._frames_since_push,

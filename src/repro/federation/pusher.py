@@ -26,7 +26,7 @@ from ..telemetry import MetricsRegistry, emit, event_logger
 from ..wire.contract import CollectionContract
 from ..transport.framing import SENDER_ID_SIZE
 from ..transport.stream import STATE_STREAM, StreamClient
-from .state_push import PUSH_KIND_SNAPSHOT, encode_state_push
+from .state_push import encode_state_push
 
 _LOG = event_logger("pusher")
 
@@ -67,11 +67,6 @@ class StatePusher(StreamClient):
         #: connection opened; pushes continue at ``resume_epoch + 1``.
         self.resume_epoch = resume_epoch
         self._next_epoch = resume_epoch + 1
-        #: Highest epoch the root has acknowledged on *this* connection
-        #: (starts at the resume watermark). Edges compare it against
-        #: their delta base to know whether the root holds the state a
-        #: delta would build on.
-        self.acked_epoch = resume_epoch
         self._m_push_seconds = self.telemetry.histogram(
             "pusher_push_seconds",
             "Encode + ship + root-ack round trip per push",
@@ -83,34 +78,27 @@ class StatePusher(StreamClient):
         self,
         state: Mapping[str, Any],
         counters: Optional[Mapping[str, Any]] = None,
-        kind: str = PUSH_KIND_SNAPSHOT,
-        base_epoch: int = 0,
     ) -> int:
-        """Ship one state push; returns its epoch number.
+        """Ship one cumulative state snapshot; returns its epoch number.
 
-        ``kind="snapshot"`` (the default) ships ``state`` as the full
-        cumulative snapshot; ``kind="delta"`` ships it as the document
-        of a :meth:`~repro.session.SessionState.delta` over the
-        acknowledged epoch ``base_epoch``. The ack only arrives
-        once the root has validated the push, folded it into its edge
-        table and — when it checkpoints — persisted it durably, so a
+        The ack only arrives once the root has validated the push,
+        folded it into its edge table and — when it checkpoints —
+        persisted it durably, so a
         returned epoch is a *safe* epoch: the reports it covers survive
         anything short of losing the root's storage.
         """
         self._require_open()
         started = self.telemetry.clock()
-        payload = encode_state_push(state, counters, kind, base_epoch)
+        payload = encode_state_push(state, counters)
         epoch = self._next_epoch
         self._next_epoch += 1
         await self._exchange(epoch, payload)
-        self.acked_epoch = epoch
         self._m_push_seconds.observe(self.telemetry.clock() - started)
         emit(
             _LOG,
             "state_pushed",
             edge_id=self.edge_id.hex(),
             epoch=epoch,
-            kind=kind,
             bytes=len(payload),
         )
         return epoch

@@ -5,16 +5,13 @@ of the framed socket protocol (:mod:`repro.transport.framing`). Edge
 aggregators connect with a hello opened by ``STATE_MAGIC`` carrying
 their edge id, and then push epoch-numbered, CRC-sealed, contract-
 fingerprint-checked :meth:`~repro.session.LDPServer.state_dict`
-payloads — full cumulative snapshots, or *deltas* over the edge's last
-acknowledged epoch, which the root adds to its stored record through
-the exact big-integer merge before installing the sum as the new
-cumulative state. Either way the root keeps exactly one record per
-edge — the newest epoch and its cumulative
+payloads, each the edge's full cumulative snapshot. The root keeps
+exactly one record per edge — the newest epoch and its cumulative
 :class:`~repro.session.SessionState` — and merges across edges at read
 time with the exact big-integer accumulation, so the federated
 estimate is a pure function of the report multiset: bit-identical to
 one-shot ingestion regardless of edge count, push ordering, duplicate
-pushes, push kinds, or mid-round edge restarts.
+pushes, or mid-round edge restarts.
 
 Idempotency is the load-bearing property. The handshake reply's resume
 watermark is the highest epoch the root folded for that edge; a push at
@@ -50,7 +47,7 @@ from ..transport.framing import (
 from ..transport.stream import STATE_STREAM, Refusal, StreamServer
 from ..wire.contract import CollectionContract
 from .checkpoint import federation_checkpoint_document, parse_federation_checkpoint
-from .state_push import PUSH_KIND_DELTA, decode_state_push
+from .state_push import decode_state_push
 
 #: One edge's record at the root: ``(epoch, state, counters)``.
 _Record = Tuple[int, SessionState, Dict[str, Any]]
@@ -103,10 +100,6 @@ class RootAggregator(StreamServer):
         self._m_pushes_accepted = registry.counter(
             "root_pushes_accepted_total",
             "Edge state pushes validated, folded and acknowledged",
-        )
-        self._m_deltas_applied = registry.counter(
-            "root_deltas_applied_total",
-            "Accepted pushes that arrived as deltas over a stored base",
         )
         self._m_bytes_received = registry.counter(
             "root_push_bytes_received_total",
@@ -207,8 +200,6 @@ class RootAggregator(StreamServer):
 
     #: Pushes validated, folded and acknowledged.
     pushes_accepted = counted("_m_pushes_accepted")
-    #: Accepted pushes that arrived as deltas over a stored base.
-    deltas_applied = counted("_m_deltas_applied")
     #: Payload bytes of accepted pushes.
     bytes_received = counted("_m_bytes_received")
     #: Pushes refused after the handshake.
@@ -269,7 +260,6 @@ class RootAggregator(StreamServer):
         counters = {
             "pushes_accepted": self.pushes_accepted,
             "pushes_deduped": self.pushes_deduped,
-            "deltas_applied": self.deltas_applied,
             "pushes_rejected": self.pushes_rejected,
             "handshakes_rejected": self.handshakes_rejected,
             "rejections_total": self.pushes_rejected + self.handshakes_rejected,
@@ -307,11 +297,8 @@ class RootAggregator(StreamServer):
     ) -> Optional[Refusal]:
         """Install one push above the watermark, durably before its ack.
 
-        Snapshot epochs replace the edge's record, and delta epochs —
-        accepted only when their ``base_epoch`` names exactly the record
-        the root holds — are added to it through the exact merge, so the
-        installed state equals the snapshot the edge would have shipped,
-        bit for bit. Unlike report streams, epochs may skip ahead — the
+        Each push replaces the edge's record with the cumulative state
+        it carries. Unlike report streams, epochs may skip ahead — the
         installed state is always cumulative, so epoch ``n`` covers
         everything any skipped epoch would have.
         """
@@ -319,19 +306,6 @@ class RootAggregator(StreamServer):
         previous = self._edges.get(edge_id)
         try:
             push = decode_state_push(payload, self.contract)
-            delta = push.kind == PUSH_KIND_DELTA
-            if delta and previous is None:
-                raise WireFormatError(
-                    "delta push over base epoch %d from edge %s, but this "
-                    "root holds no state for it — a delta needs the "
-                    "snapshot it builds on" % (push.base_epoch, edge_id.hex())
-                )
-            if delta and push.base_epoch != previous[0]:
-                raise WireFormatError(
-                    "delta push builds on epoch %d but this root holds "
-                    "epoch %d for edge %s — the edge must re-ship a full "
-                    "snapshot" % (push.base_epoch, previous[0], edge_id.hex())
-                )
             # Validated before it is installed: a malformed state must
             # not replace a good one (merged() would fail after the ack).
             state = self._value(push.state)
@@ -339,10 +313,6 @@ class RootAggregator(StreamServer):
             return Refusal("contract_mismatch", STATUS_CONTRACT_MISMATCH, exc)
         except WireFormatError as exc:
             return Refusal("invalid", STATUS_WIRE_ERROR, exc)
-        if delta:
-            # Exact merge onto the stored base: the installed state
-            # equals the full state the edge holds, bit for bit.
-            state = previous[1].merged(state)
         self._edges[edge_id] = (epoch, state, push.counters)
         if self.store is not None:
             # Durable BEFORE the ack: once the edge hears OK, its
@@ -369,8 +339,6 @@ class RootAggregator(StreamServer):
                 return self._fail("checkpoint", exc, edge_id=edge_id.hex())
         self._m_pushes_accepted.inc()
         self._m_bytes_received.inc(len(payload))
-        if delta:
-            self._m_deltas_applied.inc()
         self._m_fold_seconds.observe(self._clock() - started)
         self._observe_edge(edge_id, epoch, state)
         emit(
@@ -379,7 +347,6 @@ class RootAggregator(StreamServer):
             level=logging.DEBUG,
             edge_id=edge_id.hex(),
             epoch=epoch,
-            kind=push.kind,
             users=state.users,
             bytes=len(payload),
         )

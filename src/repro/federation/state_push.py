@@ -1,25 +1,12 @@
-"""The ``STATE`` push payload: one edge snapshot — or delta — on the wire.
+"""The ``STATE`` push payload: one edge snapshot on the wire.
 
-A federation push carries an edge aggregator's
-:meth:`~repro.session.LDPServer.state_dict` in one of two kinds:
-
-``snapshot``
-    The full, cumulative state. The root replaces its record for the
-    edge. Snapshots are what make the tier idempotent under every
-    failure mode: a re-pushed epoch is a byte-identical no-op, a
-    skipped epoch is covered by the next one, and an edge that crashed
-    and resumed from its checkpoint re-ships everything it durably held.
-``delta``
-    Only the accumulator growth since ``base_epoch`` — the last epoch
-    the root acknowledged to this edge: the document of
-    :meth:`~repro.session.SessionState.delta`. Every accumulator is
-    exactly additive (big-integer sums, int64 counts), so the root
-    merges it into its stored state value and
-    ``base.merged(current.delta(base)) == current`` holds bit for bit.
-    Deltas exist purely to cut upstream bytes: an edge falls back to a
-    full snapshot on its first push, after any reconnect whose
-    re-learned watermark disagrees with its base, and whenever a delta
-    cannot be formed or is refused.
+A federation push carries an edge aggregator's full, cumulative
+:meth:`~repro.session.LDPServer.state_dict`; the root replaces its
+record for the edge with it. Snapshots are what make the tier
+idempotent under every failure mode: a re-pushed epoch is a
+byte-identical no-op, a skipped epoch is covered by the next one, and
+an edge that crashed and resumed from its checkpoint re-ships
+everything it durably held.
 
 Payload layout (inside one transport frame, ``u64 epoch`` in the frame
 header)::
@@ -40,13 +27,20 @@ The document embeds the contract fingerprint (lifted out of the state
 snapshot) so the root refuses a foreign-contract push before touching
 its aggregation state, plus the edge's plain gateway counters — the root
 aggregates those across edges in its own ``STATS`` snapshot, so one
-admin request covers the whole topology. Counters are always cumulative
-(the root replaces them even under a delta push). Damage (CRC failure,
-malformed JSON, missing fields, an impossible kind/base_epoch pair)
-raises :class:`~repro.exceptions.WireFormatError`; a foreign contract
-raises :class:`~repro.exceptions.ContractMismatchError` naming both
-fingerprints. Version-1 documents (no ``kind``/``base_epoch`` fields)
-still decode — they are full snapshots by definition.
+admin request covers the whole topology. Counters are cumulative too.
+Damage (CRC failure, malformed JSON, missing fields) raises
+:class:`~repro.exceptions.WireFormatError`; a foreign contract raises
+:class:`~repro.exceptions.ContractMismatchError` naming both
+fingerprints.
+
+Version-2 documents carry ``kind: "snapshot"`` and ``base_epoch: 0``,
+fields that once told a snapshot from a *delta* push (the accumulator
+growth over an acknowledged epoch). Deltas are retired — at version 2 a
+snapshot is about as small — so this build writes only snapshots and
+refuses any other kind as a :class:`~repro.exceptions.WireFormatError`,
+which an older edge answers by re-shipping its full snapshot. Version-1
+documents (no ``kind``/``base_epoch`` fields) still decode: they are
+full snapshots by definition.
 """
 
 from __future__ import annotations
@@ -66,9 +60,8 @@ PUSH_VERSION = 2
 #: Push document versions this build decodes.
 SUPPORTED_PUSH_VERSIONS = (1, 2)
 
-#: The two push kinds a version-2 document may carry.
+#: The one push kind a version-2 document may carry.
 PUSH_KIND_SNAPSHOT = "snapshot"
-PUSH_KIND_DELTA = "delta"
 
 _CRC_HEAD = CRC32
 
@@ -144,34 +137,21 @@ def _transform_sums(state: Any, transform: Any) -> Any:
 
 
 class StatePush(NamedTuple):
-    """One decoded push: its state payload and how to fold it.
-
-    ``state`` is a full cumulative snapshot when ``kind`` is
-    ``"snapshot"`` and an additive difference over the edge's state at
-    ``base_epoch`` when ``kind`` is ``"delta"``. ``counters`` are always
-    the edge's cumulative gateway counters.
-    """
+    """One decoded push: the edge's cumulative state and gateway counters."""
 
     state: Dict[str, Any]
     counters: Dict[str, Any]
-    kind: str
-    base_epoch: int
 
 
 def encode_state_push(
-    state: Mapping[str, Any],
-    counters: Optional[Mapping[str, Any]] = None,
-    kind: str = PUSH_KIND_SNAPSHOT,
-    base_epoch: int = 0,
+    state: Mapping[str, Any], counters: Optional[Mapping[str, Any]] = None
 ) -> bytes:
-    """Serialize one state push (CRC-sealed canonical JSON).
+    """Serialize one state push (CRC-sealed, compressed canonical JSON).
 
     ``state`` is a :meth:`~repro.session.SessionState.to_document`
-    document — the full state, or for ``kind="delta"`` the document of
-    a :meth:`~repro.session.SessionState.delta`, with ``base_epoch``
-    naming the acknowledged epoch the delta builds on. ``counters`` are
-    the edge's plain gateway counters (JSON scalars), carried for
-    root-side aggregation only — they never touch the estimate.
+    document of the edge's full cumulative state. ``counters`` are the
+    edge's plain gateway counters (JSON scalars), carried for root-side
+    aggregation only — they never touch the estimate.
     """
     fingerprint = state.get("fingerprint") if isinstance(state, Mapping) else None
     if not isinstance(fingerprint, str):
@@ -179,24 +159,12 @@ def encode_state_push(
             "a state push needs a state_dict snapshot (with its embedded "
             "fingerprint), got %r" % (state,)
         )
-    if kind not in (PUSH_KIND_SNAPSHOT, PUSH_KIND_DELTA):
-        raise WireFormatError("unknown push kind %r" % (kind,))
-    base = int(base_epoch)
-    if kind == PUSH_KIND_DELTA and base < 1:
-        raise WireFormatError(
-            "a delta push must name the acknowledged epoch it builds on, "
-            "got base_epoch=%d" % base
-        )
-    if kind == PUSH_KIND_SNAPSHOT and base != 0:
-        raise WireFormatError(
-            "a snapshot push carries no base epoch, got base_epoch=%d" % base
-        )
     document = {
         "format": PUSH_FORMAT,
         "push_version": PUSH_VERSION,
         "fingerprint": fingerprint,
-        "kind": kind,
-        "base_epoch": base,
+        "kind": PUSH_KIND_SNAPSHOT,
+        "base_epoch": 0,
         "state": _transform_sums(dict(state), _hexp_token),
         "counters": dict(counters) if counters else {},
     }
@@ -216,9 +184,8 @@ def decode_state_push(
     """Verify and unpack one push payload as a :class:`StatePush`.
 
     The CRC seal, the document structure, the contract fingerprint and
-    the kind/base_epoch pairing are all checked before anything is
+    (version 2) the snapshot kind are all checked before anything is
     returned — a root never folds bytes it could not fully validate.
-    Version-1 documents decode as ``kind="snapshot"``, ``base_epoch=0``.
     """
     if len(payload) < _CRC_HEAD.size:
         raise WireFormatError(
@@ -272,43 +239,27 @@ def decode_state_push(
             "malformed state push fingerprint: %r" % (fingerprint,)
         ) from None
     contract.require_digest(digest, "federation state push")
-    if version == 1:
-        kind, base_epoch = PUSH_KIND_SNAPSHOT, 0
-    else:
-        kind = document.get("kind")
-        if kind not in (PUSH_KIND_SNAPSHOT, PUSH_KIND_DELTA):
-            raise WireFormatError(
-                "state push carries unknown kind %r" % (kind,)
-            )
-        base_epoch = document.get("base_epoch")
-        if (
-            not isinstance(base_epoch, int)
-            or isinstance(base_epoch, bool)
-            or base_epoch < 0
-        ):
-            raise WireFormatError(
-                "malformed push base epoch: %r" % (base_epoch,)
-            )
-        if kind == PUSH_KIND_DELTA and base_epoch < 1:
-            raise WireFormatError(
-                "a delta push must name the acknowledged epoch it builds "
-                "on, got base_epoch=%d" % base_epoch
-            )
-        if kind == PUSH_KIND_SNAPSHOT and base_epoch != 0:
-            raise WireFormatError(
-                "a snapshot push carries no base epoch, got base_epoch=%d"
-                % base_epoch
-            )
     state = document.get("state")
     if not isinstance(state, dict):
         raise WireFormatError(
             "state push carries no state snapshot: %r" % (state,)
         )
     if version >= 2:
+        kind = document.get("kind")
+        if kind != PUSH_KIND_SNAPSHOT:
+            raise WireFormatError(
+                "state push carries kind %r; this build folds only %r "
+                "pushes" % (kind, PUSH_KIND_SNAPSHOT)
+            )
+        base_epoch = document.get("base_epoch")
+        if type(base_epoch) is not int or base_epoch != 0:
+            raise WireFormatError(
+                "a snapshot push carries no base epoch, got %r" % (base_epoch,)
+            )
         state = _transform_sums(state, _hexp_value)
     counters = document.get("counters")
     if not isinstance(counters, dict):
         raise WireFormatError(
             "state push carries malformed counters: %r" % (counters,)
         )
-    return StatePush(state, counters, kind, base_epoch)
+    return StatePush(state, counters)

@@ -44,7 +44,7 @@ from typing import Any, Hashable, List, Optional, Sequence
 import numpy as np
 
 from ..exceptions import (
-    AggregationError, DimensionError, DomainError, StateDeltaError, WireFormatError,
+    AggregationError, DimensionError, DomainError, WireFormatError,
 )
 from ..framework.deviation import DeviationModel, build_deviation_model
 from ..framework.multivariate import MultivariateDeviationModel
@@ -167,14 +167,6 @@ class AttributeCollector(abc.ABC):
         """
 
     @abc.abstractmethod
-    def delta_states(self, state: Any, base: Any) -> Any:
-        """New state of the exact growth from ``base`` to ``state``.
-
-        Raises :class:`~repro.exceptions.StateDeltaError` when a monotone
-        count went down (``base`` is not a prefix of ``state``).
-        """
-
-    @abc.abstractmethod
     def snapshot(self, state: Any) -> dict:
         """JSON-serializable snapshot of an aggregation state."""
 
@@ -264,9 +256,6 @@ class SumStateMixin:
 
     def merge_states(self, state: StreamingSum, other: StreamingSum) -> None:
         state.merge(other)
-
-    def delta_states(self, state: StreamingSum, base: StreamingSum) -> StreamingSum:
-        return state.delta(base, self.attribute.name)
 
     def snapshot(self, state: StreamingSum) -> dict:
         return {"kind": self.state_kind, "sums": state.state_dict()}
@@ -538,17 +527,6 @@ class OracleCollector(AttributeCollector):
     def merge_states(self, state: _OracleState, other: _OracleState) -> None:
         state.counts = state.counts + other.counts
         state.users += other.users
-
-    def delta_states(self, state: _OracleState, base: _OracleState) -> _OracleState:
-        delta = self.new_state()
-        delta.counts = state.counts - base.counts
-        delta.users = state.users - base.users
-        if delta.users < 0 or bool((delta.counts < 0).any()):
-            raise StateDeltaError(
-                "attribute %r: the earlier snapshot is not a prefix of the "
-                "newer one" % self.attribute.name
-            )
-        return delta
 
     def snapshot(self, state: _OracleState) -> dict:
         return {

@@ -4,11 +4,10 @@ The paper's collector keeps one sufficient statistic per attribute: the
 exact sum of the perturbed reports and their count. :class:`SessionState`
 holds it for a whole schema, with the user count and a shared reference
 to the owning server's collectors and contract. The accumulators are
-exact, so :meth:`~SessionState.merged` and :meth:`~SessionState.delta`
-are exact too (``base.merged(cur.delta(base))`` equals ``cur`` bit for
-bit), and :meth:`~SessionState.to_document` is the
+exact, so :meth:`~SessionState.merged` is exact too, and
+:meth:`~SessionState.to_document` is the
 :meth:`~repro.session.LDPServer.state_dict` document. Servers, shards
-and the federation edge and root fold, merge and diff these values
+and the federation edge and root fold, merge and ship these values
 without building a server.
 """
 
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Mapping, Optional
 
-from ..exceptions import StateDeltaError, WireFormatError
+from ..exceptions import WireFormatError
 from ..wire.contract import CollectionContract
 from .adapters import AttributeCollector, SumStateMixin
 from .streaming import fold_columns
@@ -95,29 +94,6 @@ class SessionState:
                 collector.merge_states(total.states[name], value.states[name])
             total.users += value.users
         return total
-
-    def delta(self, base: "SessionState") -> "SessionState":
-        """A new value: the exact growth from ``base`` to this state.
-
-        Raises :class:`~repro.exceptions.StateDeltaError` when ``base``
-        has another contract or is provably not a prefix of this state
-        (a user or report count went down); ship the full state then.
-        """
-        if base.contract.digest != self.contract.digest:
-            raise StateDeltaError(
-                "snapshot fingerprint differs (%r vs %r): not the same round"
-                % (self.contract.fingerprint, base.contract.fingerprint)
-            )
-        users = self.users - base.users
-        if users < 0:
-            raise StateDeltaError(
-                "the earlier snapshot covers more users than the newer one"
-            )
-        states = {
-            name: collector.delta_states(self.states[name], base.states[name])
-            for name, collector in self.collectors.items()
-        }
-        return SessionState(self.collectors, self.contract, states, users)
 
     # ------------------------------------------------------------- documents
 

@@ -41,7 +41,7 @@ from typing import Any, Dict, List, Sequence
 import numpy as np
 
 from ..exceptions import (
-    AggregationError, DimensionError, DomainError, StateDeltaError, WireFormatError,
+    AggregationError, DimensionError, DomainError, WireFormatError,
 )
 from ..mechanisms.base import BLOCK_ENTRIES
 
@@ -186,23 +186,6 @@ class StreamingSum:
         for column in range(self.width):
             self._acc[column] += other._acc[column]
         self._rows += other._rows
-
-    def delta(self, base: "StreamingSum", name: str = "") -> "StreamingSum":
-        """A new accumulator of the rows added since ``base`` (exactly).
-
-        Column sums may go negative (reports are signed); only the row
-        count is monotone, so :class:`StateDeltaError` if it went down.
-        """
-        rows = self._rows - base._rows
-        if rows < 0:
-            raise StateDeltaError(
-                "attribute %r: the earlier snapshot is not a prefix of the "
-                "newer one" % name
-            )
-        grown = StreamingSum(self.width)
-        grown._acc = [a - b for a, b in zip(self._acc, base._acc)]
-        grown._rows = rows
-        return grown
 
     def reset(self) -> None:
         """Discard all accumulated rows."""

@@ -19,11 +19,14 @@ Record framing (little-endian), one record per checkpoint::
 
     magic b"RSEG" | u32 payload length | u32 CRC-32(payload) | payload
 
-``load()`` is strict — any framing violation (bad magic, CRC failure,
-torn tail) raises :class:`~repro.exceptions.CheckpointCorruptError`.
-``recover()`` implements crash-restart semantics: a torn tail is the
-*expected* artefact of SIGKILL mid-append, so it steps back to the
-newest record that is fully intact.
+Both readers walk the segments newest first. ``load()`` is strict — any
+framing violation (bad magic, CRC failure, torn tail) in the newest
+segment that holds bytes raises
+:class:`~repro.exceptions.CheckpointCorruptError`. ``recover()``
+implements crash-restart semantics: a torn tail is the *expected*
+artefact of SIGKILL mid-append, so it steps back to the newest record
+that is fully intact. Neither reads a segment older than the one its
+answer comes from.
 """
 
 from __future__ import annotations
@@ -208,16 +211,24 @@ class SegmentLogStore(CheckpointStore):
         return newest, False
 
     def _newest_payload(self, strict: bool) -> Tuple[Optional[bytes], bool]:
-        newest: Optional[bytes] = None
+        """Newest intact payload of the log, plus a corruption flag.
+
+        Segments are read newest first and the walk stops at the first
+        one that yields a record, so damage in older segments that a
+        newer checkpoint supersedes is never read. ``strict`` raises on
+        the first framing violation, so it reads only the newest segment
+        that holds bytes; otherwise a segment without an intact record
+        is stepped past, and each scanned segment with damage is counted.
+        """
         saw_corruption = False
-        for path in self.segments():
+        for path in reversed(self.segments()):
             payload, corrupt = self._scan_segment(path, strict)
             if corrupt:
                 saw_corruption = True
                 self._observe_corrupt_skip(path.name)
             if payload is not None:
-                newest = payload
-        return newest, saw_corruption
+                return payload, saw_corruption
+        return None, saw_corruption
 
     def load(self) -> Optional[Dict[str, Any]]:
         started = self.telemetry.clock()

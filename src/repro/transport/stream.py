@@ -162,11 +162,10 @@ async def retry_connect(
     retry_delay: float,
     what: str,
     failed: Callable[[int, BaseException], Awaitable[None]],
-    retry_on: Tuple[type, ...] = RETRYABLE,
 ) -> Any:
     """Await ``attempt_once()`` until it returns, at most ``attempts`` times.
 
-    Each ``retry_on`` failure goes to ``failed(attempt, exc)``, which
+    Each :data:`RETRYABLE` failure goes to ``failed(attempt, exc)``, which
     counts and logs it (or re-raises it to stop); the next attempt
     starts ``retry_delay`` seconds later. Other failures propagate. When
     every attempt fails, raises :class:`TransportError` with
@@ -178,7 +177,7 @@ async def retry_connect(
             await asyncio.sleep(retry_delay)
         try:
             return await attempt_once()
-        except retry_on as exc:
+        except RETRYABLE as exc:
             failures.append((attempt, exc))
             await failed(attempt, exc)
     raise TransportError(

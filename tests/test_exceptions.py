@@ -88,12 +88,10 @@ class TestTypedRaisesAcrossTheLibrary:
     """
 
     def test_parameter_error_is_value_error(self):
-        from repro import ParameterError, StateDeltaError
+        from repro import ParameterError
 
         assert issubclass(ParameterError, ReproError)
         assert issubclass(ParameterError, ValueError)
-        assert issubclass(StateDeltaError, ReproError)
-        assert issubclass(StateDeltaError, ValueError)
 
     def test_spawn_children_rejects_negative_count(self):
         from repro import ParameterError
@@ -127,13 +125,3 @@ class TestTypedRaisesAcrossTheLibrary:
 
         with pytest.raises(ParameterError, match="positive"):
             LaplaceMechanism(sensitivity=0.0)
-
-    def test_state_delta_error_on_incompatible_snapshots(self):
-        from repro import StateDeltaError
-        from repro.session import LDPServer, NumericAttribute, Schema
-
-        schema = Schema([NumericAttribute("a"), NumericAttribute("b")])
-        ours = LDPServer(schema, epsilon=1.0).state
-        theirs = LDPServer(schema, epsilon=2.0).state
-        with pytest.raises(StateDeltaError):
-            ours.delta(theirs)

@@ -44,7 +44,6 @@ from repro.session import (
     LDPServer,
     NumericAttribute,
     Schema,
-    SessionState,
 )
 from repro.storage import JsonFileStore
 from repro.transport import AsyncReportSender, replay_frames, request_stats
@@ -124,8 +123,6 @@ class TestStatePushCodec:
         )
         push = decode_state_push(payload, server.contract)
         assert push.counters == {"frames_accepted": 1}
-        assert push.kind == "snapshot"
-        assert push.base_epoch == 0
         restored = LDPServer(SCHEMA, EPSILON, protocols=SPEC)
         restored.load_state_dict(push.state)
         _assert_estimates_equal(server.estimate(), restored.estimate())
@@ -184,8 +181,49 @@ class TestStatePushCodec:
             encode_state_push({"no": "fingerprint"})
 
 
+def _sealed(document, compress=True):
+    """A push payload sealed the way the codec seals it, from any document."""
+    import json
+    import struct
+    import zlib
+
+    blob = json.dumps(document, sort_keys=True).encode()
+    if compress:
+        blob = zlib.compress(blob)
+    return struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF) + blob
+
+
+def _push_document(state, contract, version=2, **fields):
+    """A push document as an edge of push-document ``version`` writes it."""
+    document = {
+        "format": "repro-federation-state-push",
+        "push_version": version,
+        "fingerprint": contract.fingerprint,
+        "state": state,
+        "counters": {"frames_accepted": 2},
+    }
+    if version >= 2:
+        document.update(kind="snapshot", base_epoch=0)
+    document.update(fields)
+    return document
+
+
+def _opened(payload):
+    """The push document inside a version-2 payload."""
+    import json
+    import zlib
+
+    return json.loads(zlib.decompress(payload[4:]))
+
+
 class TestDeltaPushes:
-    """Delta pushes: exact difference upstream, exact merge at the root."""
+    """Delta pushes are retired: every push is a cumulative snapshot.
+
+    The version-2 document keeps its ``kind``/``base_epoch`` fields,
+    always ``"snapshot"`` and ``0``; a root refuses the delta an older
+    edge may still send as a typed wire error, which that edge answers
+    by re-shipping its full snapshot.
+    """
 
     def _grown_pair(self, seed=40):
         server = LDPServer(SCHEMA, EPSILON, protocols=SPEC)
@@ -196,52 +234,37 @@ class TestDeltaPushes:
             server.ingest_encoded(frame)
         return server, previous, server.state_dict()
 
-    @staticmethod
-    def _value(server, document):
-        return SessionState.from_document(
-            document, server.collectors, server.contract
-        )
-
-    def test_delta_merges_back_to_current_exactly(self):
-        server, previous, current = self._grown_pair()
-        base = self._value(server, previous)
-        delta = server.state.delta(base)
-        merged = LDPServer(SCHEMA, EPSILON, protocols=SPEC)
-        merged.load_state_dict(base.merged(delta).to_document())
-        assert merged.state_dict() == current
-        _assert_estimates_equal(server.estimate(), merged.estimate())
-
-    def test_delta_refuses_non_prefix_and_foreign_pairs(self):
-        server, previous, _ = self._grown_pair()
-        base = self._value(server, previous)
-        with pytest.raises(ValueError, match="prefix|users"):
-            base.delta(server.state)  # swapped: users go down
-        foreign = LDPServer(SCHEMA, epsilon=9.0, protocols=SPEC)
-        with pytest.raises(ValueError, match="fingerprint|round"):
-            server.state.delta(foreign.state)
-        # A damaged base never becomes a value, so it cannot be diffed.
-        with pytest.raises(ValueError, match="version|malformed|mapping"):
-            self._value(server, {"format": previous["format"]})
-        truncated = {
-            key: previous[key]
-            for key in ("format", "state_version", "fingerprint")
-        }
-        with pytest.raises(ValueError, match="attributes"):
-            self._value(server, truncated)
-
     def test_push_kind_validation(self):
+        _, previous, current = self._grown_pair()
+        contract = _contract()
+        document = _opened(encode_state_push(current))
+        assert (document["kind"], document["base_epoch"]) == ("snapshot", 0)
+        for fields, match in (
+            ({"kind": "delta", "base_epoch": 4}, "kind"),
+            ({"kind": "increment"}, "kind"),
+            ({"kind": None}, "kind"),
+            ({"base_epoch": 3}, "base epoch"),
+            ({"base_epoch": True}, "base epoch"),
+            ({"base_epoch": "0"}, "base epoch"),
+        ):
+            payload = _sealed(_push_document(previous, contract, **fields))
+            with pytest.raises(WireFormatError, match=match):
+                decode_state_push(payload, contract)
+
+    def test_v1_and_v2_snapshot_pushes_decode(self):
         _, _, current = self._grown_pair()
         contract = _contract()
-        with pytest.raises(WireFormatError, match="kind"):
-            encode_state_push(current, kind="increment")
-        with pytest.raises(WireFormatError, match="base"):
-            encode_state_push(current, kind="delta", base_epoch=0)
-        with pytest.raises(WireFormatError, match="base"):
-            encode_state_push(current, kind="snapshot", base_epoch=3)
-        push = decode_state_push(
-            encode_state_push(current, kind="delta", base_epoch=4), contract
-        )
-        assert (push.kind, push.base_epoch) == ("delta", 4)
+        for payload in (
+            _sealed(_push_document(current, contract, version=1), False),
+            _sealed(_push_document(current, contract)),
+            encode_state_push(current, {"frames_accepted": 2}),
+        ):
+            push = decode_state_push(payload, contract)
+            assert push.state == current
+            assert push.counters == {"frames_accepted": 2}
+        # a version-1 document carries no kind, so a stray one is ignored
+        legacy = _push_document(current, contract, version=1, kind="delta")
+        assert decode_state_push(_sealed(legacy, False), contract).state == current
 
     def test_v2_payload_is_much_smaller_than_v1(self):
         """The v2 token + zlib transform cuts push bytes ~4x, losslessly."""
@@ -299,90 +322,107 @@ class TestDeltaPushes:
                 with pytest.raises(WireFormatError, match="token"):
                     decode_state_push(payload, contract)
 
-    def test_root_applies_delta_bit_identically(self):
-        async def scenario():
-            root = await _root()
-            server = LDPServer(SCHEMA, EPSILON, protocols=SPEC)
-            frames = _frames(seed=41)
-            server.ingest_encoded(frames[0])
-            previous = server.state.merged()
-            async with await StatePusher.connect(
-                "127.0.0.1", root.port, server.contract, _edge_id(1)
-            ) as pusher:
-                assert await pusher.push(previous.to_document()) == 1
-                for frame in frames[1:]:
-                    server.ingest_encoded(frame)
-                delta = server.state.delta(previous).to_document()
-                epoch = await pusher.push(
-                    delta, kind="delta", base_epoch=1
-                )
-                assert epoch == 2
-                assert pusher.acked_epoch == 2
-            await root.stop()
-            return root, [frames]
-
-        root, frame_lists = asyncio.run(scenario())
-        assert root.deltas_applied == 1
-        assert root.pushes_accepted == 2
-        _assert_estimates_equal(_reference(frame_lists), root.estimate())
-
     def test_root_refuses_delta_on_wrong_or_missing_base(self):
+        """An older edge's delta is refused whatever base it names, is
+        counted as invalid, and leaves the root's edge table as it was."""
+
         async def scenario():
             root = await _root()
             server = LDPServer(SCHEMA, EPSILON, protocols=SPEC)
-            server.ingest_encoded(_frames(seed=42)[0])
-            state = server.state_dict()
-            delta = server.state.delta(server.state).to_document()
-            # no snapshot on record yet: any delta is unappliable
-            pusher = await StatePusher.connect(
-                "127.0.0.1", root.port, server.contract, _edge_id(1)
-            )
-            with pytest.raises(WireFormatError, match="no state"):
-                await pusher.push(delta, kind="delta", base_epoch=1)
-            # root folded epoch 1; a delta naming another base is refused
+            frames = _frames(seed=42)
+            server.ingest_encoded(frames[0])
+            snapshot = server.state_dict()
+            server.ingest_encoded(frames[1])
+            grown = server.state_dict()
+
+            async def send_delta(base_epoch):
+                async with await StatePusher.connect(
+                    "127.0.0.1", root.port, server.contract, _edge_id(1)
+                ) as pusher:
+                    delta = _push_document(
+                        grown, server.contract, kind="delta",
+                        base_epoch=base_epoch,
+                    )
+                    with pytest.raises(WireFormatError, match="kind"):
+                        await pusher._exchange(
+                            pusher.resume_epoch + 1, _sealed(delta)
+                        )
+                    return pusher.resume_epoch
+
+            refusals = [await send_delta(1)]  # no record to build on
             async with await StatePusher.connect(
                 "127.0.0.1", root.port, server.contract, _edge_id(1)
             ) as good:
-                await good.push(state)
-            pusher = await StatePusher.connect(
-                "127.0.0.1", root.port, server.contract, _edge_id(1)
-            )
-            with pytest.raises(WireFormatError, match="full snapshot"):
-                await pusher.push(delta, kind="delta", base_epoch=7)
+                assert await good.push(snapshot) == 1
+            # the record's own epoch, then another one
+            refusals += [await send_delta(1), await send_delta(7)]
+            table = root.stats_snapshot()
             await root.stop()
-            return root
+            return root, snapshot, refusals, table
 
-        root = asyncio.run(scenario())
-        assert root.pushes_rejected == 2
-        assert root.deltas_applied == 0
+        root, snapshot, refusals, table = asyncio.run(scenario())
+        assert refusals == [0, 1, 1]
+        assert root.pushes_rejected == 3
+        assert root.pushes_accepted == 1
+        rejected = table["metrics"]["root_pushes_rejected_total"]["values"]
+        assert rejected == {"reason=invalid": 3}
+        (record,) = table["edges"].values()
+        assert record["epoch"] == 1
+        assert root.merged().state_dict() == snapshot
 
-    def test_edge_ships_deltas_then_falls_back_after_reconnect(self):
-        """An edge's steady state is deltas; a lost ack forces a snapshot."""
+    def test_edge_reconnects_mid_round_and_ships_only_snapshots(
+        self, monkeypatch
+    ):
+        """An edge whose upstream connection drops mid-round reconnects,
+        re-learns its watermark and keeps shipping cumulative snapshots;
+        the root ends bit-identical to one-shot ingestion."""
+        import repro.federation.pusher as pusher_module
+
+        shipped = []
+        encode = pusher_module.encode_state_push
+
+        def recording_encode(state, counters=None):
+            payload = encode(state, counters)
+            shipped.append(_opened(payload))
+            return payload
+
+        monkeypatch.setattr(pusher_module, "encode_state_push", recording_encode)
 
         async def scenario():
             root = await _root()
             # no automatic push trigger: this test drives pushes by hand
-            edge = await _edge(root.port, edge_id=_edge_id(9))
-            frames = _frames(seed=43)
+            edge = await _edge(
+                root.port, edge_id=_edge_id(9), push_retry_delay=0.01
+            )
+            frames = _frames(seed=43, batches=4)
             await replay_frames(
-                "127.0.0.1", edge.port, root.contract, frames, _sender_id(1)
+                "127.0.0.1", edge.port, root.contract, frames[:2],
+                _sender_id(1),
             )
             first = await edge.push_now()
-            second = await edge.push_now()  # same connection: delta
-            assert second == first + 1
-            deltas_before = edge.delta_pushes
-            # simulate an edge that lost its base (crash-restart)
-            edge._base_state = None
-            edge._base_epoch = 0
-            await edge.push_now()  # full snapshot again, still folded
+            # the upstream link drops under the edge, unnoticed until
+            # its next push
+            edge._pusher._writer.transport.abort()
+            await replay_frames(
+                "127.0.0.1", edge.port, root.contract, frames[2:],
+                _sender_id(2),
+            )
+            second = await edge.push_now()
             await edge.stop()
             await root.stop()
-            return root, edge, deltas_before, [frames]
+            return root, edge, (first, second), [frames]
 
-        root, edge, deltas_before, frame_lists = asyncio.run(scenario())
-        assert deltas_before >= 1
-        assert root.deltas_applied == edge.delta_pushes
+        root, edge, epochs, frame_lists = asyncio.run(scenario())
+        assert epochs == (1, 2)
+        assert edge.push_retries == 1
+        assert edge.stats_snapshot()["federation"]["delta_pushes"] == 0
+        assert {(d["kind"], d["base_epoch"]) for d in shipped} == {
+            ("snapshot", 0)
+        }
+        # every push carried the edge's whole state so far
+        assert [d["state"]["users"] for d in shipped] == [60, 120, 120, 120]
         assert root.pushes_rejected == 0
+        assert root.pushes_accepted == 3
         _assert_estimates_equal(_reference(frame_lists), root.estimate())
 
 
@@ -745,10 +785,10 @@ class TestFederationHandshake:
                 "heartbeats", "checkpoints_written",
             )),
             (edge, "federation", "edge", (
-                "pushes_completed", "delta_pushes", "push_retries",
+                "pushes_completed", "push_retries",
             )),
             (root, "counters", "root", (
-                "pushes_accepted", "pushes_deduped", "deltas_applied",
+                "pushes_accepted", "pushes_deduped",
                 "pushes_rejected", "handshakes_rejected", "bytes_received",
                 "checkpoints_written",
             )),
@@ -766,7 +806,7 @@ class TestFederationHandshake:
         assert edge["counters"]["heartbeats"] == 1
         assert edge["counters"]["handshakes_rejected"] == 1
         assert edge["counters"]["checkpoints_written"] >= 4
-        assert root["counters"]["deltas_applied"] >= 1
+        assert edge["federation"]["delta_pushes"] == 0
         assert root["counters"]["checkpoints_written"] >= 2
 
 

@@ -1,12 +1,12 @@
 """``SessionState``: the aggregation state as a value, against a frozen oracle.
 
 ``reference_state`` keeps the document-level arithmetic the library
-used before state became a value: the ``state_dict`` composition,
-``state_dict_delta`` and the additive document merge. Over a mixed
-schema (Piecewise and Duchi numeric, histogram, GRR, OUE and OLH
-categorical), random batch splits and random shard counts, the value's
-documents, deltas and merges must match it byte for byte, and merged
-values must estimate to the same ``float.hex`` bits.
+used before state became a value: the ``state_dict`` composition and
+the additive document merge. Over a mixed schema (Piecewise and Duchi
+numeric, histogram, GRR, OUE and OLH categorical), random batch splits
+and random shard counts, the value's documents and merges must match it
+byte for byte, and merged values must estimate to the same ``float.hex``
+bits.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_state
-from repro.exceptions import AggregationError, ContractMismatchError, StateDeltaError
+from repro.exceptions import AggregationError, ContractMismatchError
 from repro.session import (
     CategoricalAttribute,
     LDPClient,
@@ -116,51 +116,41 @@ def test_value_matches_the_frozen_document_arithmetic(seed, users, data):
     base = server.state
     server.ingest(batches[split:])
     cur = server.state
+    rest = ShardedServer(SCHEMA, EPSILON, SAMPLED, SPEC, shards=shards)
+    rest = rest.ingest(batches[split:]).state
     base_doc = _reference_document(batches[:split])
+    rest_doc = _reference_document(batches[split:])
     cur_doc = _reference_document(batches)
 
     assert _bytes(base.to_document()) == _bytes(base_doc)
+    assert _bytes(rest.to_document()) == _bytes(rest_doc)
     assert _bytes(cur.to_document()) == _bytes(cur_doc)
     assert _bytes(server.state_dict()) == _bytes(cur_doc)
 
-    delta = cur.delta(base)
-    assert _bytes(delta.to_document()) == _bytes(
-        reference_state.state_dict_delta(cur_doc, base_doc)
-    )
-    rebuilt = base.merged(delta)
+    rebuilt = base.merged(rest)
     assert _bytes(rebuilt.to_document()) == _bytes(cur_doc)
     assert _bytes(
-        reference_state.merge_state_dict(base_doc, delta.to_document())
+        reference_state.merge_state_dict(base_doc, rest_doc)
     ) == _bytes(cur_doc)
     assert _estimate_hex(rebuilt) == _estimate_hex(cur)
+    assert _bytes(rest.merged(base).to_document()) == _bytes(cur_doc)
 
-    if cur.users > base.users:
-        with pytest.raises(StateDeltaError):
-            reference_state.state_dict_delta(base_doc, cur_doc)
-        with pytest.raises(StateDeltaError):
-            base.delta(cur)
     foreign = _server(epsilon=9.0)
-    with pytest.raises(StateDeltaError):
-        reference_state.state_dict_delta(cur_doc, foreign.state_dict())
-    with pytest.raises(StateDeltaError):
-        cur.delta(foreign.state)
+    with pytest.raises(ContractMismatchError):
+        cur.merged(foreign.state)
 
 
-#: SHA-256 of the parent commit's ``state_dict()`` and ``state_dict_delta``
-#: JSON bytes (``sort_keys=True``) for the scenario in the test below.
+#: SHA-256 of the parent commit's ``state_dict()`` JSON bytes
+#: (``sort_keys=True``) for the scenario in the test below.
 PINNED_STATE_SHA256 = "c48bba2a292575bcb13c56b39f876488ff9578bd94b587b92aeb9c260d19c759"
-PINNED_DELTA_SHA256 = "0d462c0fdb5be8c3d0d288374147b0f48c08b10121c0d18f5bbb72196b3cd3cc"
 
 
 def test_documents_match_the_pinned_parent_bytes():
     batches = _batches(7, 200, [50, 120, 160])
     server = _server().ingest(batches[:2])
-    base = server.state.merged()
     server.ingest(batches[2:])
     state = json.dumps(server.state.to_document(), sort_keys=True)
-    delta = json.dumps(server.state.delta(base).to_document(), sort_keys=True)
     assert hashlib.sha256(state.encode()).hexdigest() == PINNED_STATE_SHA256
-    assert hashlib.sha256(delta.encode()).hexdigest() == PINNED_DELTA_SHA256
 
 
 def test_operands_are_left_untouched():
@@ -169,9 +159,11 @@ def test_operands_are_left_untouched():
     base = server.state.merged()
     before = _bytes(base.to_document())
     server.ingest(batches[1:])
-    delta = server.state.delta(base)
-    base.merged(delta, server.state)
+    other = _server().ingest(batches[1:]).state
+    others = [_bytes(value.to_document()) for value in (other, server.state)]
+    base.merged(other, server.state)
     assert _bytes(base.to_document()) == before
+    assert [_bytes(value.to_document()) for value in (other, server.state)] == others
 
 
 def test_merged_refuses_a_foreign_contract():

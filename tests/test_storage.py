@@ -157,6 +157,39 @@ class TestCorruptionMatrix:
         restarted.compact()
         assert restarted.load() == {"round": 4}
 
+    def test_segments_load_reads_the_newest_segment_first(self, tmp_path):
+        """A torn record in an older segment does not hide the intact
+        newest checkpoint from the strict reader."""
+        directory = tmp_path / "log"
+        store = SegmentLogStore(directory)
+        store.save({"round": 1})
+        store.save({"round": 2})
+        with open(store.segments()[-1], "ab") as handle:
+            handle.write(RECORD_MAGIC + b"\x40")
+        restarted = SegmentLogStore(directory)
+        restarted.save({"round": 3})
+        assert len(restarted.segments()) == 2
+        assert restarted.recover() == {"round": 3}
+        assert restarted.load() == {"round": 3}
+        # The damaged older segment is not even scanned, so not counted.
+        shot = restarted.telemetry.snapshot()
+        skips = shot["storage_corrupt_records_skipped_total"]["values"]
+        assert skips.get("backend=segments", 0) == 0
+
+    def test_segments_recover_steps_past_a_damaged_newest_segment(
+        self, tmp_path
+    ):
+        store = SegmentLogStore(tmp_path / "log")
+        store.save({"round": 1})
+        damaged = store._segment_path(2)
+        damaged.write_bytes(b"\x00" * 16)
+        with pytest.raises(CheckpointCorruptError, match="magic"):
+            store.load()
+        assert store.recover() == {"round": 1}
+        shot = store.telemetry.snapshot()
+        skips = shot["storage_corrupt_records_skipped_total"]["values"]
+        assert skips["backend=segments"] == 1
+
     def test_segments_restart_over_intact_log_appends(self, tmp_path):
         directory = tmp_path / "log"
         SegmentLogStore(directory).save({"round": 1})
